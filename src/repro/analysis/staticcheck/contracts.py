@@ -3,8 +3,8 @@
 The cusFFT pipeline is a chain of array transformations with exact
 dimensional laws: permute/filter gathers ``(L, rounds*B)`` windows,
 fused binning folds them to ``(L, B)`` (``(S, L, B)`` in the batch
-path), the bucket FFT runs over ``(S*L, B)`` rows, recovery votes over
-``S*n`` flat offset keys and reshapes them to ``(S, n)``.  This module
+path), the bucket FFT runs over ``(S*L, B)`` rows, and recovery votes
+per signal over sorted candidate keys.  This module
 lets those laws be *declared* at the function boundary::
 
     @shape_contract("x:(n,) -> (L, B)", dtype="complex128",
@@ -36,7 +36,7 @@ Grammar
   ``"permutations[0].n"``, ``"len(selected)"``) so dims can be pinned
   from non-array arguments;
 * ``attrs`` declares shapes/dtypes of attributes the body reads
-  (``{"self.raw": "(L, B):complex128", "self._padded": "rounds*B"}``) —
+  (``{"self.gather": "(L, rounds*B):int64", "self._padded": "rounds*B"}``) —
   the static checker's window into instance state.
 """
 

@@ -46,7 +46,6 @@ from .permutation import (
 from .plan import SfftPlan, load_plan, make_plan, save_plan
 from .plan_cache import PlanCache, cached_plan, global_plan_cache
 from .recovery import (
-    VoteAccumulator,
     candidate_frequencies,
     recover_locations,
     recover_locations_stack,
@@ -99,7 +98,6 @@ __all__ = [
     "PlanCache",
     "cached_plan",
     "global_plan_cache",
-    "VoteAccumulator",
     "candidate_frequencies",
     "recover_locations",
     "recover_locations_stack",

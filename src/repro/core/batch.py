@@ -10,7 +10,8 @@ signal stack the way the GPU implementation amortizes kernel launches:
   cuFFT call would take;
 * step 4 selects buckets with one batched top-k over all ``S * v_loops``
   voting rows (:func:`~repro.core.cutoff.cutoff_rows`);
-* step 5 votes for every signal in one flat ``(S * n)`` score array
+* step 5 votes by sort-count, one sort per signal over its candidate
+  keys, with no length-``n`` score array
   (:func:`~repro.core.recovery.recover_locations_stack`);
 * step 6 estimates all signals' hits in one vectorized pass
   (:func:`~repro.core.estimation.estimate_values_stack`).
@@ -47,7 +48,12 @@ from .cutoff import cutoff_rows
 from .estimation import estimate_values_stack
 from .plan import SfftPlan
 from .recovery import recover_locations_stack
-from .sfft import SparseFFTResult
+from .sfft import (
+    NON_FINITE_INPUT,
+    OVERFLOWING_INPUT,
+    SparseFFTResult,
+    reject_non_finite,
+)
 
 __all__ = ["sfft_batch_fused", "run_stack_pipeline", "as_signal_stack",
            "comb_masks_for_stack"]
@@ -139,6 +145,7 @@ def run_stack_pipeline(
     # Steps 1-2: one gather + fold for the whole stack.
     with stage("perm_filter", signals=S, loops=L, B=B):
         raw = ws.bin_fused_stack(X)
+    reject_non_finite(raw, NON_FINITE_INPUT, signal_offset)
 
     # Step 3: one (S*L, B) batched bucket FFT through the workspace's
     # backend binding.
@@ -177,6 +184,7 @@ def run_stack_pipeline(
         values = estimate_values_stack(
             hits, rows, list(plan.permutations), plan.filt, B
         )
+    reject_non_finite(values, OVERFLOWING_INPUT, signal_offset)
 
     results = []
     for s in range(S):

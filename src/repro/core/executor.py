@@ -35,11 +35,12 @@ mode, worker count, shard size, and FFT backend.
 
 Concurrency hygiene mirrors the GPU resource model:
 
-* each thread worker leases a private :meth:`PlanWorkspace.clone
-  <repro.core.workspace.PlanWorkspace.clone>`; each process worker builds
-  the same split from shared memory (:meth:`PlanWorkspace.adopt_shared`)
-  — shared immutable gather / tap matrices, per-worker scratch — the CPU
-  analog of per-stream device buffers;
+* thread workers share one :meth:`PlanWorkspace.clone
+  <repro.core.workspace.PlanWorkspace.clone>` bound to the executor's FFT
+  backend; each process worker rebuilds it from shared memory
+  (:meth:`PlanWorkspace.adopt_shared`).  The workspace holds only
+  immutable gather / tap matrices and every stage allocates its own
+  output, so no worker can see another's intermediate data;
 * the bucket FFT resolves through the pluggable backend registry
   (:mod:`repro.core.fft_backend`), so ``scipy``'s ``workers=`` fan-out (or
   ``pyfftw`` threads) can parallelize *within* a shard while the pool
@@ -61,12 +62,11 @@ indistinguishable from thread mode.  Every run also publishes the
 ``sfft.executor.*`` metrics family: shard/signal counts, queue wait (as a
 histogram *and* ``queue_wait_p50_s``/``p90``/``p99`` tail gauges),
 per-shard wall, the achieved overlap ratio (total busy seconds over
-elapsed wall, clamped to ``[0, workers]``), the leased-workspace footprint
-(``workspace_shared_bytes`` / ``worker_scratch_bytes`` / ``clone_bytes``)
-and, in process mode, the shared-segment footprint (``shm_bytes``) plus a
-``worker_failures`` counter that ticks when a worker process dies
-mid-run (the run then raises :class:`~repro.errors.ExecutorError` after
-unlinking every segment).
+elapsed wall, clamped to ``[0, workers]``), the shared-workspace footprint
+(``workspace_shared_bytes``) and, in process mode, the shared-segment
+footprint (``shm_bytes``) plus a ``worker_failures`` counter that ticks
+when a worker process dies mid-run (the run then raises
+:class:`~repro.errors.ExecutorError` after unlinking every segment).
 """
 
 from __future__ import annotations
@@ -451,31 +451,20 @@ class ShardedExecutor:
         self, X, plan, *, bounds, nw, masks, run_t0, registry, tracer,
         cutoff_method, trim_to_k, strict,
     ):
-        # One leased workspace per worker: shared immutable gather/taps,
-        # private scratch and FFT-backend binding (double-buffered in the
-        # sense that a worker's next shard reuses its own buffers while
-        # other workers' shards are mid-flight).
+        # One workspace for every worker: it holds only immutable
+        # gather/tap arrays plus this executor's FFT-backend binding.  The
+        # queue hands out worker ids, which name the trace tracks.
         base = plan.workspace()
-        pool: queue.SimpleQueue = queue.SimpleQueue()
-        clones = []
-        for w in range(nw):
-            clone = base.clone(
-                fft_backend=self.fft_backend, fft_workers=self.fft_workers,
-            )
-            clones.append(clone)
-            pool.put((w, clone))
-
-        # Memory attribution of the lease: the immutable gather/tap arrays
-        # are shared once across the pool, the scratch is paid per clone.
-        base_mem = base.memory_breakdown()
-        scratch_each = (
-            clones[0].memory_breakdown()["scratch_bytes"] if clones else 0
+        ws = base.clone(
+            fft_backend=self.fft_backend, fft_workers=self.fft_workers,
         )
+        pool: queue.SimpleQueue = queue.SimpleQueue()
+        for w in range(nw):
+            pool.put(w)
+        base_mem = base.memory_breakdown()
         registry.gauge("sfft.executor.workspace_shared_bytes").set(
             base_mem["gather_bytes"] + base_mem["tap_bytes"]
         )
-        registry.gauge("sfft.executor.worker_scratch_bytes").set(scratch_each)
-        registry.gauge("sfft.executor.clone_bytes").set(scratch_each * nw)
 
         @contextmanager
         def _stage_span(name: str, track: str, attrs: dict):
@@ -491,7 +480,7 @@ class ShardedExecutor:
 
         def _task(idx: int, lo: int, hi: int, submit_t: float):
             t_pick = monotonic()
-            w, ws = pool.get()
+            w = pool.get()
             track = f"worker{w}"
             stage = None
             if tracer is not None:
@@ -513,7 +502,7 @@ class ShardedExecutor:
                     stage=stage,
                 )
             finally:
-                pool.put((w, ws))
+                pool.put(w)
             t_end = monotonic()
             if tracer is not None:
                 tracer.add_span(
@@ -554,17 +543,13 @@ class ShardedExecutor:
         S = X.shape[0]
         k = plan.params.k
         base = plan.workspace()
-        # Same lease accounting as thread mode: the derived arrays are
-        # shared (now via shm instead of by reference), scratch is private
-        # per worker process.
+        # Same accounting as thread mode: the derived arrays are shared,
+        # now via shm instead of by reference.
         base_arrays = plan_shared_arrays(plan, base)  # forces gather/taps
         base_mem = base.memory_breakdown()
-        scratch_each = base_mem["scratch_bytes"]
         registry.gauge("sfft.executor.workspace_shared_bytes").set(
             base_mem["gather_bytes"] + base_mem["tap_bytes"]
         )
-        registry.gauge("sfft.executor.worker_scratch_bytes").set(scratch_each)
-        registry.gauge("sfft.executor.clone_bytes").set(scratch_each * nw)
 
         kill_raw = os.environ.get(_KILL_ENV, "")
         kill_idx = int(kill_raw) if kill_raw.lstrip("-").isdigit() else None

@@ -41,7 +41,7 @@ class SfftPlan:
     params: SfftParameters
     filt: FlatFilter
     permutations: tuple[Permutation, ...]
-    #: lazily built execution workspace (gather matrix + scratch); never
+    #: lazily built execution workspace (gather + tap matrices); never
     #: part of equality/serialization — pure derived state.
     _workspace: object = field(
         default=None, init=False, repr=False, compare=False
@@ -86,12 +86,11 @@ class SfftPlan:
     def workspace(self) -> "PlanWorkspace":
         """The plan's cached execution workspace (built on first use).
 
-        The workspace precomputes the ``(L, w)`` gather-index matrix, the
-        padded ``(rounds, B)`` tap matrix, and reusable scratch buffers —
-        see :mod:`repro.core.workspace`.  Cached per plan object, so
-        repeated executions of one plan allocate nothing on the hot path.
-        Not thread-safe (shared scratch); concurrent executors should
-        construct a private ``PlanWorkspace(plan)`` each.
+        The workspace precomputes the ``(L, w)`` gather-index matrix and
+        the padded ``(rounds, B)`` tap matrix — see
+        :mod:`repro.core.workspace`.  Cached per plan object, so repeated
+        executions of one plan never rebuild them.  It holds no mutable
+        state, so concurrent callers may share it.
         """
         if self._workspace is None:
             from .workspace import PlanWorkspace

@@ -78,7 +78,7 @@ class PlanCache:
         """Resolved cache key, or ``None`` when the call is uncacheable.
 
         The key includes the *resolved* default FFT backend name: a plan's
-        lazily built workspace caches backend-sized scratch, and a
+        lazily built workspace is built under the backend in force, and a
         wisdom- or env-driven backend switch mid-process must never be
         served a workspace planned under the previous backend.
         """
@@ -216,7 +216,7 @@ class PlanCache:
         """Per-entry byte attribution, least recently used first.
 
         One dict per resident plan: shape (``n``, ``k``), the filter's
-        array bytes, the built workspace's gather/tap/scratch split (zeros
+        array bytes, the built workspace's gather/tap split (zeros
         while the lazy arrays are untouched), and the entry total.
         """
         with self._lock:
@@ -230,17 +230,15 @@ class PlanCache:
                 + int(plan.filt.freq.nbytes),
                 "gather_bytes": 0,
                 "tap_bytes": 0,
-                "scratch_bytes": 0,
             }
             ws = plan._workspace
             if ws is not None:
                 breakdown = ws.memory_breakdown()
                 entry["gather_bytes"] = breakdown["gather_bytes"]
                 entry["tap_bytes"] = breakdown["tap_bytes"]
-                entry["scratch_bytes"] = breakdown["scratch_bytes"]
             entry["total_bytes"] = (
                 entry["filter_bytes"] + entry["gather_bytes"]
-                + entry["tap_bytes"] + entry["scratch_bytes"]
+                + entry["tap_bytes"]
             )
             out.append(entry)
         return out

@@ -9,9 +9,21 @@ candidates repeat rarely.  Keeping candidates with at least
 ``vote_threshold`` votes across the ``L`` loops is the paper's
 ``I' = { i : s_i > L/2 }``.
 
-The GPU kernel (Algorithm 4) does exactly this with one thread per selected
-bucket and ``atomicAdd`` on a length-``n`` score array; here the votes are a
-vectorized ``np.add.at`` — the same scatter-add, minus the hardware.
+The GPU kernel (Algorithm 4) does this with one thread per selected bucket
+and ``atomicAdd`` on a dense length-``n`` score array.  A CPU copy of that
+design pays ``Theta(n)`` per signal just to zero and scan the scores, and
+its scatter-add misses cache on every vote.  Here votes are counted by
+sorting instead: the bucket ranges of one loop tile ``Z_n`` and
+``sigma^{-1}`` is a bijection, so distinct buckets yield distinct
+candidates and each loop votes at most once per frequency.  Concatenating
+one signal's ``L`` candidate blocks and sorting them once turns every
+frequency's votes into a run of equal keys: the run start is the hit, the
+run length its vote count.  The work is ``L * select_count * n/B`` keys —
+the term the sFFT analyses price voting at — with no length-``n`` array.
+
+Keys use masked unsigned arithmetic: ``n`` is a power of two, so ``n``
+divides ``2^32`` whenever it fits in 32 bits, wraparound is harmless, and
+``& (n-1)`` replaces the ``%`` reduction.
 """
 
 from __future__ import annotations
@@ -24,27 +36,100 @@ from .permutation import Permutation
 
 __all__ = [
     "candidate_frequencies",
-    "VoteAccumulator",
     "recover_locations",
     "recover_locations_stack",
 ]
 
 
-def _distinct_int64(values: np.ndarray) -> np.ndarray:
-    """Distinct values of a 1-D int64 array, ascending — sort-based.
+def _key_dtype(n: int, B: int) -> type:
+    """Candidate-key dtype for size ``n``; validates the ``(n, B)`` geometry."""
+    if n < 1 or n & (n - 1):
+        raise ParameterError(f"n={n} must be a power of two")
+    if B < 1 or n % B != 0:
+        raise ParameterError(f"B={B} must divide n={n}")
+    return np.uint32 if n <= 1 << 32 else np.uint64
 
-    Semantically ``np.unique``, but routed through an explicit sort: on
-    NumPy builds where ``unique`` takes a hash-table path, the sort is an
-    order of magnitude faster at the candidate volumes voting produces
-    (tens of thousands to a few hundred thousand int64 keys per loop).
+
+def _buckets(selected: np.ndarray, B: int) -> np.ndarray:
+    """One loop's selected bucket indices as validated 1-D int64."""
+    J = np.asarray(selected, dtype=np.int64)
+    if J.ndim != 1:
+        raise ParameterError(f"selected buckets must be 1-D, got shape {J.shape}")
+    if J.size and (J.min() < 0 or J.max() >= B):
+        raise ParameterError("bucket indices out of range")
+    return J
+
+
+def _candidate_keys(
+    J: np.ndarray, sigma_inv: np.ndarray, n: int, B: int
+) -> np.ndarray:
+    """``(len(J), n/B)`` candidate frequencies of buckets ``J``.
+
+    ``sigma_inv`` holds one inverse stride per bucket and sets the key
+    dtype.  Mirrors Algorithm 4's ``low``/``high`` region and
+    ``loc = (low + j) * a % n`` walk in closed form:
+    ``ceil((J - 0.5) * n/B) == J*n/B - n/(2B)`` exactly, since ``n/B`` is a
+    power of two.
     """
-    if values.size <= 1:
-        return values
-    ordered = np.sort(values)
-    keep = np.empty(ordered.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return ordered[keep]
+    dtype = sigma_inv.dtype.type
+    n_div_b = n // B
+    low = (J * n_div_b - n_div_b // 2).astype(dtype)
+    keys = low[:, None] + np.arange(n_div_b, dtype=dtype)
+    keys *= sigma_inv[:, None]
+    keys &= dtype(n - 1)
+    return keys
+
+
+def _vote(
+    selected_per_loop: list[np.ndarray],
+    sigma_inv: np.ndarray,
+    n: int,
+    B: int,
+    threshold: int,
+    mask: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sort-count voting for one signal: ``(hits, votes)``, both ``int64``.
+
+    ``sigma_inv[r]`` is loop ``r``'s inverse stride.  Duplicate bucket
+    indices within a loop vote once: the ``(loop, bucket)`` pairs are made
+    distinct before any candidate is generated.
+    """
+    empty = np.empty(0, dtype=np.int64)
+    loops = [_buckets(sel, B) for sel in selected_per_loop]
+    sizes = [J.size for J in loops]
+    pairs = np.unique(
+        np.repeat(np.arange(len(loops)) * B, sizes) + np.concatenate(loops)
+    )
+    keys = _candidate_keys(pairs % B, sigma_inv[pairs // B], n, B).ravel()
+    if mask is not None:
+        keys = keys[mask[keys % mask.size]]
+    if keys.size < threshold:
+        return empty, empty
+    keys.sort()
+    # A run of c >= threshold equal keys starting at i has keys[j] ==
+    # keys[j + threshold - 1] for exactly its first c - threshold + 1
+    # positions j, so only the (few) hits are ever counted.
+    reach = threshold - 1
+    vals = keys[np.flatnonzero(keys[reach:] == keys[:keys.size - reach])]
+    if vals.size == 0:
+        return empty, empty
+    first = np.flatnonzero(np.concatenate(([True], vals[1:] != vals[:-1])))
+    votes = np.diff(np.append(first, vals.size)) + reach
+    return vals[first].astype(np.int64), votes.astype(np.int64)
+
+
+def _loop_strides(
+    permutations: list[Permutation], B: int, vote_threshold: int
+) -> tuple[int, np.ndarray]:
+    """Validate the shared voting inputs; ``(n, sigma_inv per loop)``."""
+    if not permutations:
+        raise ParameterError("at least one loop is required")
+    if vote_threshold < 1:
+        raise ParameterError(f"threshold must be >= 1, got {vote_threshold}")
+    n = permutations[0].n
+    sigma_inv = np.array([p.sigma_inv for p in permutations],
+                         dtype=_key_dtype(n, B))
+    return n, sigma_inv
 
 
 @shape_contract("selected_buckets:*, perm:* -> *", dtype="int64",
@@ -54,75 +139,15 @@ def candidate_frequencies(
 ) -> np.ndarray:
     """Original-domain candidate frequencies for the selected buckets.
 
-    Returns a flat int64 array of ``len(selected) * (n//B)`` candidates
-    (duplicates possible when regions abut).  Mirrors Algorithm 4's
-    ``low``/``high`` region and ``loc = (low + j) * a % n`` walk, in closed
-    form.
+    Returns a flat int64 array of ``len(selected) * (n//B)`` candidates,
+    bucket by bucket.  Distinct buckets give distinct candidates (their
+    ranges tile ``Z_n``); a repeated bucket repeats its block.
     """
     n = perm.n
-    if B < 1 or n % B != 0:
-        raise ParameterError(f"B={B} must divide n={n}")
-    n_div_b = n // B
-    J = np.asarray(selected_buckets, dtype=np.int64)
-    if J.ndim != 1:
-        raise ParameterError(f"selected buckets must be 1-D, got shape {J.shape}")
-    if J.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if np.any((J < 0) | (J >= B)):
-        raise ParameterError("bucket indices out of range")
-    # ceil((J - 0.5) * n/B) == J*n_div_b - n_div_b//2 in exact integer
-    # arithmetic (n_div_b is a power of two), avoiding float rounding at big n.
-    low = J * n_div_b - n_div_b // 2
-    offsets = np.arange(n_div_b, dtype=np.int64)
-    permuted = (low[:, None] + offsets[None, :]) % n
-    return ((permuted * perm.sigma_inv) % n).ravel()
-
-
-class VoteAccumulator:
-    """Per-transform vote scores over the ``n`` frequencies.
-
-    A dense ``int16`` score array — the direct analog of the GPU kernel's
-    ``score[n]`` buffer (Algorithm 4).  ``int16`` suffices because scores
-    are bounded by the loop count.
-
-    ``scores_out`` lets a caller supply the buffer (the per-plan workspace
-    keeps one resident so the hot path allocates nothing); it is zeroed on
-    entry and owned by the accumulator for the transform's duration.
-    """
-
-    def __init__(self, n: int, *, scores_out: np.ndarray | None = None):
-        if n < 1:
-            raise ParameterError(f"n must be positive, got {n}")
-        self.n = int(n)
-        if scores_out is None:
-            self.scores = np.zeros(self.n, dtype=np.int16)
-        else:
-            if scores_out.shape != (self.n,) or scores_out.dtype != np.int16:
-                raise ParameterError(
-                    f"scores_out must be int16 of shape ({self.n},), got "
-                    f"{scores_out.dtype} {scores_out.shape}"
-                )
-            scores_out.fill(0)
-            self.scores = scores_out
-
-    def add_loop_votes(self, candidates: np.ndarray) -> None:
-        """Add one loop's candidates (each distinct frequency votes once).
-
-        Within a loop the same frequency can appear from two adjacent
-        selected buckets' overlapping edges; deduplicate so a loop
-        contributes at most one vote per frequency, keeping the
-        across-loop vote count meaningful.
-        """
-        if candidates.size == 0:
-            return
-        uniq = _distinct_int64(np.asarray(candidates, dtype=np.int64))
-        self.scores[uniq] += 1
-
-    def hits(self, threshold: int) -> np.ndarray:
-        """Frequencies with at least ``threshold`` votes, ascending."""
-        if threshold < 1:
-            raise ParameterError(f"threshold must be >= 1, got {threshold}")
-        return np.flatnonzero(self.scores >= threshold).astype(np.int64)
+    dtype = _key_dtype(n, B)
+    J = _buckets(selected_buckets, B)
+    sigma_inv = np.full(J.size, perm.sigma_inv, dtype=dtype)
+    return _candidate_keys(J, sigma_inv, n, B).ravel().astype(np.int64)
 
 
 @shape_contract("selected_per_loop:*, permutations:* -> *",
@@ -134,33 +159,24 @@ def recover_locations(
     vote_threshold: int,
     *,
     residue_filter: np.ndarray | None = None,
-    scores_out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run voting over all loops; return ``(hit_frequencies, their_scores)``.
+    """Run voting over all loops; return ``(hit_frequencies, their_votes)``.
 
+    Hits are ascending ``int64`` frequencies with at least
+    ``vote_threshold`` votes; votes are ``int64`` counts aligned with them.
     ``residue_filter`` is the optional sFFT-2.0 Comb screen (see
     :mod:`repro.core.comb`): a boolean mask of length ``W`` — candidates
-    whose residue ``f mod W`` is not approved never enter the vote, cutting
-    the scatter-add work to the approved classes.  ``scores_out`` is an
-    optional preallocated ``int16`` score buffer (zeroed here), letting the
-    workspace-driven path vote without allocating a length-``n`` array.
+    whose residue ``f mod W`` is not approved never enter the vote.
     """
     if len(selected_per_loop) != len(permutations):
         raise ParameterError("one selected-bucket set per permutation required")
-    if not permutations:
-        raise ParameterError("at least one loop is required")
+    n, sigma_inv = _loop_strides(permutations, B, vote_threshold)
+    mask = None
     if residue_filter is not None:
-        residue_filter = np.asarray(residue_filter, dtype=bool)
-        if residue_filter.ndim != 1 or residue_filter.size < 1:
+        mask = np.asarray(residue_filter, dtype=bool)
+        if mask.ndim != 1 or mask.size < 1:
             raise ParameterError("residue_filter must be a 1-D boolean mask")
-    acc = VoteAccumulator(permutations[0].n, scores_out=scores_out)
-    for sel, perm in zip(selected_per_loop, permutations):
-        cands = candidate_frequencies(sel, perm, B)
-        if residue_filter is not None and cands.size:
-            cands = cands[residue_filter[cands % residue_filter.size]]
-        acc.add_loop_votes(cands)
-    hits = acc.hits(vote_threshold)
-    return hits, acc.scores[hits].astype(np.int64)
+    return _vote(selected_per_loop, sigma_inv, n, B, vote_threshold, mask)
 
 
 @shape_contract("selected:*, permutations:* -> *",
@@ -178,11 +194,8 @@ def recover_locations_stack(
 
     ``selected[s][r]`` holds signal ``s``'s selected buckets in loop ``r``
     (the loops share one permutation schedule — that is what "one plan"
-    means).  Instead of ``S`` separate accumulators, one flat ``(S * n)``
-    ``int16`` score array votes for all signals at once: per loop, every
-    signal's candidate frequencies are offset by ``s * n`` and deduplicated
-    in a single pass over the whole batch, so the sort + scatter-add runs
-    once per loop rather than once per ``(signal, loop)``.
+    means).  Each signal votes with its own sort: one signal's keys stay
+    cache-sized, where one sort over the whole stack would not.
 
     ``residue_filters`` is the optional per-signal Comb screen, one boolean
     mask row per signal (masks are data-dependent, so they cannot be shared
@@ -192,11 +205,9 @@ def recover_locations_stack(
     S = len(selected)
     if S < 1:
         raise ParameterError("at least one signal is required")
-    if not permutations:
-        raise ParameterError("at least one loop is required")
-    loops = len(permutations)
+    n, sigma_inv = _loop_strides(permutations, B, vote_threshold)
     for rows in selected:
-        if len(rows) != loops:
+        if len(rows) != len(permutations):
             raise ParameterError(
                 "one selected-bucket set per (signal, permutation) required"
             )
@@ -207,34 +218,10 @@ def recover_locations_stack(
             raise ParameterError(
                 f"residue_filters must be (S, W) boolean, got {masks.shape}"
             )
-    n = permutations[0].n
-    scores = np.zeros(S * n, dtype=np.int16)
-    for r, perm in enumerate(permutations):
-        sizes = [np.asarray(selected[s][r]).size for s in range(S)]
-        if not any(sizes):
-            continue
-        buckets = np.concatenate(
-            [np.asarray(selected[s][r], dtype=np.int64) for s in range(S)]
-        )
-        sig_idx = np.repeat(np.arange(S, dtype=np.int64), sizes)
-        cands = candidate_frequencies(buckets, perm, B).reshape(
-            buckets.size, n // B
-        )
-        flat_sig = np.repeat(sig_idx, n // B)
-        flat = cands.ravel()
-        if masks is not None:
-            keep = masks[flat_sig, flat % masks.shape[1]]
-            flat = flat[keep]
-            flat_sig = flat_sig[keep]
-        if flat.size == 0:
-            continue
-        # One vote per distinct (signal, frequency) pair per loop: the
-        # signal offset folds the whole batch into one key space, so a
-        # single dedupe + scatter-add covers all S signals.
-        uniq = _distinct_int64(flat_sig * n + flat)
-        scores[uniq] += 1
-    per_signal = scores.reshape(S, n)
-    hits = [np.flatnonzero(per_signal[s] >= vote_threshold).astype(np.int64)
-            for s in range(S)]
-    votes = [per_signal[s, h].astype(np.int64) for s, h in enumerate(hits)]
+    hits, votes = [], []
+    for s in range(S):
+        h, v = _vote(selected[s], sigma_inv, n, B, vote_threshold,
+                     None if masks is None else masks[s])
+        hits.append(h)
+        votes.append(v)
     return hits, votes

@@ -108,6 +108,28 @@ class SparseFFTResult:
         return {int(f): complex(v) for f, v in zip(self.locations, self.values)}
 
 
+#: ``reject_non_finite`` messages for its two checkpoints.
+NON_FINITE_INPUT = "input samples are NaN or infinite"
+OVERFLOWING_INPUT = "coefficient estimates overflow float64"
+
+
+def reject_non_finite(per_signal, problem: str, signal_offset: int = 0) -> None:
+    """Raise :class:`~repro.errors.ParameterError` naming the first signal
+    whose array in ``per_signal`` holds a NaN or inf.
+
+    The drivers call it on the binned ``(S, L, B)`` buckets right after
+    steps 1-2 instead of on the ``(S, n)`` input: ``S*L*B`` reads, not
+    ``S*n``, and nothing is lost — every sample the transform reads is
+    multiplied into some bucket (a NaN or inf times a zero tap is still
+    NaN), and samples it never reads cannot affect the result.  A second
+    call on the ``S*k`` estimates rejects finite input whose spectrum
+    overflows ``float64``.
+    """
+    for s, row in enumerate(per_signal):
+        if not np.isfinite(row).all():
+            raise ParameterError(f"signal {signal_offset + s}: {problem}")
+
+
 def sfft(
     x,
     k: int | None = None,
@@ -145,7 +167,7 @@ def sfft(
         kernel), or ``"serial"`` (Algorithm 1 verbatim; slow, tests only).
         The default runs through the plan's fused execution workspace
         (:mod:`repro.core.workspace`): one gather + fold for all ``L``
-        loops, reusing plan-resident scratch.
+        loops through the plan's precomputed index matrix.
     cutoff_method:
         ``"topk"`` (baseline sort&select) or ``"threshold"`` (fast
         k-selection).
@@ -225,8 +247,8 @@ def sfft(
 
     # Steps 1-2: permutation + filter + fold, one row per loop.  The
     # default binning runs fused through the plan workspace (one gather for
-    # all loops into plan-resident scratch); the explicit binner variants
-    # keep their per-loop structure for kernel-shape fidelity.  The fusion
+    # all loops); the explicit binner variants keep their per-loop
+    # structure for kernel-shape fidelity.  The fusion
     # only engages while the dispatch entry is the stock binner, so
     # patching ``_BINNERS["vectorized"]`` (tests inject slow/instrumented
     # binners there) still takes effect.
@@ -238,6 +260,7 @@ def sfft(
             raw = np.empty((L, B), dtype=np.complex128)
             for r, perm in enumerate(plan.permutations):
                 raw[r] = binner(x, plan.filt, B, perm)
+    reject_non_finite(raw[None], NON_FINITE_INPUT)
 
     # Step 3: batched B-point FFT.
     with step("bucket_fft", B=B, batch=L):
@@ -257,7 +280,6 @@ def sfft(
         hits, votes = recover_locations(
             selected, list(plan.permutations[:v_loops]), B,
             params.vote_threshold, residue_filter=residue_filter,
-            scores_out=ws.scores if ws is not None else None,
         )
 
     if strict and hits.size < params.k:
@@ -270,6 +292,7 @@ def sfft(
         values = estimate_values(
             hits, rows, list(plan.permutations), plan.filt, B
         )
+    reject_non_finite(values[None], OVERFLOWING_INPUT)
 
     times: dict[str, float] | None = None
     if profiling:

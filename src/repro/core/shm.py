@@ -30,11 +30,10 @@ What crosses the process boundary is therefore *descriptors*, not bytes:
 Worker-side, :func:`worker_lease` materializes a descriptor into a real
 plan and workspace whose derived arrays are **read-only views into the
 shared segment** (adopted via
-:meth:`~repro.core.workspace.PlanWorkspace.adopt_shared` — scratch stays
-private per process).  Leases are cached in a small per-process LRU keyed
+:meth:`~repro.core.workspace.PlanWorkspace.adopt_shared`).  Leases are cached in a small per-process LRU keyed
 by the descriptor's plan fingerprint: a warm worker re-runs shards of the
 same plan with zero attach/rebuild cost, the process-pool analog of the
-thread executor's per-worker workspace clones (and of the process-level
+thread executor's shared workspace clone (and of the process-level
 :class:`~repro.core.plan_cache.PlanCache`).
 
 Lifecycle rules this module enforces:
@@ -426,9 +425,8 @@ class WorkerLease:
 
     Holds the attached segments (keeping the pages mapped even after the
     parent unlinks), the rebuilt :class:`~repro.core.plan.SfftPlan`, and a
-    private :class:`~repro.core.workspace.PlanWorkspace` whose derived
-    arrays are read-only views into the shared segment and whose scratch
-    is this process's own.
+    :class:`~repro.core.workspace.PlanWorkspace` whose derived arrays are
+    read-only views into the shared segment.
     """
 
     def __init__(self, plan, workspace, segments):

@@ -1,9 +1,9 @@
-"""Per-plan execution workspaces — allocate once, transform many times.
+"""Per-plan execution workspaces — derive once, transform many times.
 
 A :class:`~repro.core.plan.SfftPlan` holds everything that is *logically*
 reusable across executions (filter, permutation schedule); this module holds
-everything that is *physically* reusable: the derived index matrices and the
-scratch buffers the hot path would otherwise rebuild per call.
+everything that is *physically* reusable: the derived index and tap
+matrices the hot path would otherwise rebuild per call.
 
 For one plan the workspace precomputes
 
@@ -12,29 +12,26 @@ For one plan the workspace precomputes
   index mapping of the paper's Figure 3 materialized for all loops at once;
 * the **padded tap matrix** — the filter taps zero-extended to ``rounds*B``
   and reshaped ``(rounds, B)``, the exact layout Algorithm 2's loop-partition
-  kernel reads round by round;
-* **scratch buffers** — the raw ``(L, B)`` time-domain bucket matrix and the
-  ``int16`` vote-score array the recovery step accumulates into.
+  kernel reads round by round.
 
 With those in place, :meth:`PlanWorkspace.bin_fused` performs the paper's
 steps 1-2 for *all* ``L`` loops as one fancy-indexed gather plus one
-reshape-sum — no Python-level loop over loops, no per-call allocation — and
+reshape-sum — no Python-level loop over loops — and
 :meth:`PlanWorkspace.bin_fused_stack` extends the same fusion over a stack
 of ``S`` signals for the batched engine (:mod:`repro.core.batch`).
 
 This is the CPU analog of ``cusim``'s
 :class:`~repro.cusim.memory_pool.DeviceMemoryPool`: device codes keep
-per-plan index/scratch arrays resident between launches for the same
-reason.
+per-plan index arrays resident between launches for the same reason.
 
 Workspaces are cached on their plan (see
-:meth:`repro.core.plan.SfftPlan.workspace`) and are **not thread-safe** —
-the scratch buffers are shared state.  Concurrent executors call
-:meth:`PlanWorkspace.clone` for a private twin per worker: the immutable
-derived arrays (gather matrix, tap layout) are *shared* while the scratch
-buffers are fresh, so an N-worker pool pays the index precomputation once.
-:meth:`SfftPlan.reseeded` returns a *new* plan object, so a reseeded
-schedule never sees a stale gather matrix.
+:meth:`repro.core.plan.SfftPlan.workspace`) and hold no mutable state on
+the hot path: the derived arrays are written once, and every call
+allocates its own output.  Any number of threads may therefore execute
+one cached plan — including the plan cache's shared plans — concurrently.
+:meth:`PlanWorkspace.clone` exists to bind a different FFT backend while
+sharing the derived arrays.  :meth:`SfftPlan.reseeded` returns a *new*
+plan object, so a reseeded schedule never sees a stale gather matrix.
 
 Taking the :data:`GATHER_ELEMENT_CAP` fallback (regenerating gather rows on
 the fly instead of materializing the index matrix) is visible as the
@@ -70,7 +67,7 @@ STACK_CHUNK_ELEMENTS = 1 << 17
 
 
 class PlanWorkspace:
-    """Precomputed gather indices, tap layout, and scratch for one plan.
+    """Precomputed gather indices and tap layout for one plan.
 
     Parameters
     ----------
@@ -122,10 +119,6 @@ class PlanWorkspace:
         self._gather: np.ndarray | None = None
         self._taps_flat: np.ndarray | None = None
         self._taps_matrix: np.ndarray | None = None
-        #: raw time-domain bucket scratch, one row per loop
-        self.raw = np.empty((self.loops, self.B), dtype=np.complex128)
-        #: vote-score scratch (int16: scores are bounded by the loop count)
-        self.scores = np.zeros(self.n, dtype=np.int16)
 
     # -- derived arrays (lazy) ---------------------------------------------
 
@@ -180,26 +173,23 @@ class PlanWorkspace:
         Counts only *materialized* arrays (the lazy gather/tap properties
         stay at zero until first touched, so accounting never forces an
         allocation).  ``gather_bytes`` and ``tap_bytes`` are the immutable
-        arrays clones share; ``scratch_bytes`` is the private per-worker
-        part.  ``tap_bytes`` is 0 when :attr:`taps_flat` resolved to a
-        no-copy view of the plan's own filter (the plan already owns those
-        bytes); the reshaped :attr:`taps_matrix` is always a view and never
-        counted.
+        arrays clones share.  ``tap_bytes`` is 0 when :attr:`taps_flat`
+        resolved to a no-copy view of the plan's own filter (the plan
+        already owns those bytes); the reshaped :attr:`taps_matrix` is
+        always a view and never counted.
         """
         gather_bytes = 0 if self._gather is None else int(self._gather.nbytes)
         tap_bytes = 0
         if self._taps_flat is not None \
                 and self._taps_flat is not self.plan.filt.time:
             tap_bytes = int(self._taps_flat.nbytes)
-        scratch_bytes = int(self.raw.nbytes) + int(self.scores.nbytes)
         return {
             "gather_bytes": gather_bytes,
             "tap_bytes": tap_bytes,
-            "scratch_bytes": scratch_bytes,
-            "total_bytes": gather_bytes + tap_bytes + scratch_bytes,
+            "total_bytes": gather_bytes + tap_bytes,
         }
 
-    # -- concurrency -------------------------------------------------------
+    # -- sharing -----------------------------------------------------------
 
     def clone(
         self,
@@ -207,13 +197,12 @@ class PlanWorkspace:
         fft_backend: str | None = None,
         fft_workers: int | None = None,
     ) -> "PlanWorkspace":
-        """A private twin for a concurrent worker: shared indices, own scratch.
+        """A twin bound to another FFT backend, sharing the derived arrays.
 
         The derived arrays (gather matrix, padded taps) are immutable on
         the hot path, so the clone *shares* them — an N-worker pool pays
-        index precomputation once — while the mutable scratch (``raw``,
-        ``scores``) is freshly allocated per clone.  ``fft_backend`` /
-        ``fft_workers`` override the parent's FFT dispatch for this clone.
+        index precomputation once.  ``fft_backend`` / ``fft_workers``
+        override the parent's FFT dispatch for this clone.
         """
         if self._materialize_gather:
             _ = self.gather  # build once here, before sharing
@@ -244,7 +233,6 @@ class PlanWorkspace:
         shared memory; worker processes rebuild their workspace around
         read-only views of those segments instead of recomputing them —
         the cross-process twin of what :meth:`clone` does for threads.
-        Scratch (``raw``, ``scores``) stays private to this instance.
 
         ``gather=None`` leaves the gather matrix unmaterialized (the
         above-cap regime, where rows regenerate on the fly); shapes and
@@ -289,8 +277,7 @@ class PlanWorkspace:
         "x:(n,) -> (L, B)", dtype="complex128",
         bind={"n": "self.n", "L": "self.loops", "B": "self.B",
               "rounds": "self.rounds"},
-        attrs={"self.raw": "(L, B):complex128",
-               "self.gather": "(L, rounds*B):int64",
+        attrs={"self.gather": "(L, rounds*B):int64",
                "self.taps_flat": "(rounds*B,):complex128",
                "self._padded": "rounds*B"},
     )
@@ -300,14 +287,17 @@ class PlanWorkspace:
         One ``(L, rounds*B)`` fancy-indexed gather replaces the per-loop
         binner calls; the reshape-sum fold produces the same ``(L, B)``
         bucket matrix as ``L`` :func:`~repro.core.binning.bin_vectorized`
-        calls (row for row).  With ``out`` omitted the plan-owned scratch
-        is reused, so steady-state executions allocate nothing here.
+        calls (row for row).  With ``out`` omitted every call returns a
+        fresh array, so concurrent callers of one plan never share output.
         """
         if x.size != self.n:
             raise ParameterError(
                 f"signal length {x.size} != plan n={self.n}"
             )
-        buckets = self.raw if out is None else out
+        if out is None:
+            buckets = np.empty((self.loops, self.B), dtype=np.complex128)
+        else:
+            buckets = out
         if buckets.shape != (self.loops, self.B):
             raise ParameterError(
                 f"out must have shape {(self.loops, self.B)}, got {buckets.shape}"

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import (
     Permutation,
-    VoteAccumulator,
     bin_loop_partition,
     bin_serial,
     bin_vectorized,
@@ -211,18 +210,26 @@ class TestRecovery:
         assert votes[list(hits).index(f)] == 5
 
     def test_duplicate_candidates_within_loop_vote_once(self):
-        acc = VoteAccumulator(32)
-        acc.add_loop_votes(np.array([3, 3, 3]))
-        assert acc.scores[3] == 1
+        n, B = 32, 8
+        perm = random_permutation(n, np.random.default_rng(2))
+        once, votes_once = recover_locations([np.array([3])], [perm], B, 1)
+        hits, votes = recover_locations([np.array([3, 3, 3])], [perm], B, 1)
+        np.testing.assert_array_equal(hits, once)
+        np.testing.assert_array_equal(votes, np.ones(n // B, dtype=np.int64))
+        np.testing.assert_array_equal(votes, votes_once)
 
     def test_empty_candidates_noop(self):
-        acc = VoteAccumulator(8)
-        acc.add_loop_votes(np.empty(0, dtype=np.int64))
-        assert acc.scores.sum() == 0
+        perm = random_permutation(8, np.random.default_rng(3))
+        hits, votes = recover_locations(
+            [np.empty(0, dtype=np.int64)], [perm], 4, 1
+        )
+        assert hits.size == 0 and votes.size == 0
+        assert hits.dtype == votes.dtype == np.int64
 
     def test_hits_threshold_validated(self):
+        perm = random_permutation(8, np.random.default_rng(4))
         with pytest.raises(ParameterError):
-            VoteAccumulator(8).hits(0)
+            recover_locations([np.array([0])], [perm], 4, 0)
 
     def test_mismatched_loops_rejected(self):
         perm = random_permutation(64, np.random.default_rng(0))
@@ -233,6 +240,19 @@ class TestRecovery:
         perm = random_permutation(64, np.random.default_rng(0))
         with pytest.raises(ParameterError):
             candidate_frequencies(np.array([99]), perm, 8)
+        with pytest.raises(ParameterError):
+            recover_locations([np.array([99])], [perm], 8, 1)
+        with pytest.raises(ParameterError):
+            recover_locations([np.array([-1])], [perm], 8, 1)
+
+    def test_candidates_of_one_loop_are_distinct(self):
+        # The bucket ranges tile Z_n and sigma^-1 is a bijection, so every
+        # bucket of one loop together yields each frequency exactly once.
+        n, B = 1024, 64
+        perm = random_permutation(n, np.random.default_rng(7))
+        cands = candidate_frequencies(np.arange(B), perm, B)
+        assert cands.dtype == np.int64
+        np.testing.assert_array_equal(np.sort(cands), np.arange(n))
 
 
 class TestEstimation:

@@ -74,11 +74,11 @@ class TestCombApproval:
     def test_bad_filter_shape(self):
         n, B = 256, 16
         perm = random_permutation(n, np.random.default_rng(1))
-        with pytest.raises(ParameterError):
-            recover_locations(
-                [np.arange(B)], [perm], B, 1,
-                residue_filter=np.zeros((2, 2), dtype=bool),
-            )
+        for mask in (np.zeros((2, 2), dtype=bool), np.zeros(0, dtype=bool)):
+            with pytest.raises(ParameterError):
+                recover_locations(
+                    [np.arange(B)], [perm], B, 1, residue_filter=mask,
+                )
 
     def test_vote_threshold_validated(self):
         sig = make_sparse_signal(1 << 10, 4, seed=1)

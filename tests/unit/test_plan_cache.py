@@ -68,8 +68,8 @@ class TestKeying:
         assert cache.stats()["hits"] == 1
 
     def test_default_backend_is_part_of_the_key(self):
-        # A plan's lazily built workspace caches backend-sized scratch; a
-        # wisdom- or env-driven backend switch mid-process must never be
+        # A plan's lazily built workspace is bound to the backend in force;
+        # a wisdom- or env-driven backend switch mid-process must never be
         # served a workspace planned under the previous backend.
         from repro.core.fft_backend import set_default_backend
 

@@ -112,6 +112,68 @@ class TestSfftDriverOptions:
         assert res.k_found >= 4
 
 
+class TestNonFiniteInput:
+    """NaN/inf input, and finite input whose spectrum overflows float64,
+    fail with ParameterError instead of returning non-finite values."""
+
+    N, K = 4096, 8
+
+    def _signal(self):
+        return make_sparse_signal(self.N, self.K, seed=40).time.copy()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        x = self._signal()
+        x[::7] = bad
+        with np.errstate(all="ignore"), \
+                pytest.raises(ParameterError, match="NaN or infinite"):
+            sfft(x, self.K, seed=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_one_read_sample_rejected_unread_ignored(self, bad):
+        from repro.core import cached_plan
+
+        n = 1 << 15  # the loops' windows leave some samples unread here
+        plan = cached_plan(n, 4, seed=1)
+        read = np.unique(plan.workspace().gather)
+        unread = np.setdiff1d(np.arange(n), read)
+        assert unread.size > 0
+        clean = make_sparse_signal(n, 4, seed=41).time
+        x = clean.copy()
+        x[read[len(read) // 2]] = bad
+        with np.errstate(all="ignore"), pytest.raises(ParameterError):
+            sfft(x, plan=plan)
+        # A sample no loop reads cannot change the result.
+        x = clean.copy()
+        x[unread[0]] = bad
+        got, want = sfft(x, plan=plan), sfft(clean, plan=plan)
+        np.testing.assert_array_equal(got.locations, want.locations)
+        np.testing.assert_array_equal(got.values, want.values)
+
+    def test_overflowing_finite_input_rejected(self):
+        x = self._signal()
+        x *= 1e308 / np.abs(x).max()
+        assert np.isfinite(x).all()
+        with np.errstate(all="ignore"), \
+                pytest.raises(ParameterError, match="overflow"):
+            sfft(x, self.K, seed=1)
+
+    def test_batch_error_names_the_stack_row(self):
+        from repro.core import cached_plan, sfft_batch
+
+        X = np.stack([self._signal() for _ in range(3)])
+        X[2, 100] = np.nan
+        plan = cached_plan(self.N, self.K, seed=1)
+        with np.errstate(all="ignore"), \
+                pytest.raises(ParameterError, match="signal 2"):
+            sfft_batch(X, plan=plan)
+        X[2, 100] = 0.0
+        X[1] *= 1e308 / np.abs(X[1]).max()
+        with np.errstate(all="ignore"), \
+                pytest.raises(ParameterError, match="signal 1: .*overflow"):
+            sfft_batch(X, plan=plan)
+
+
 class TestSparseFFTResult:
     def test_to_dense_roundtrip(self):
         res = SparseFFTResult(

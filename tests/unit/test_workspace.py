@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -84,7 +87,7 @@ class TestWorkspaceClone:
         x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
         a = ws.bin_fused(x)
         b = twin.bin_fused(x)
-        assert a is not b  # distinct scratch buffers
+        assert a is not b  # every call owns its output
         np.testing.assert_array_equal(a, b)
 
     def test_clone_rebinds_fft_backend(self, plan_small, rng):
@@ -121,12 +124,17 @@ class TestBinFused:
         fallback = PlanWorkspace(plan_small, gather_cap=0).bin_fused(x)
         np.testing.assert_array_equal(fused, fallback)
 
-    def test_reuses_plan_scratch(self, plan_small, rng):
+    def test_fresh_output_per_call(self, plan_small, rng):
         x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
         ws = plan_small.workspace()
-        assert ws.bin_fused(x) is ws.raw
-        out = np.empty_like(ws.raw)
+        first = ws.bin_fused(x)
+        second = ws.bin_fused(x)
+        assert first is not second
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, second)
+        out = np.empty_like(first)
         assert ws.bin_fused(x, out=out) is out
+        assert not hasattr(ws, "raw") and not hasattr(ws, "scores")
 
     def test_stack_rows_match_single(self, plan_small):
         X = _signal_stack(1024, 4, 3)
@@ -187,3 +195,44 @@ class TestBatchEngine:
             sfft_batch_fused(
                 np.zeros((2, 2, 2), dtype=np.complex128), plan_small
             )
+
+
+class TestConcurrentPlanless:
+    """Plan-less ``sfft(x, k)`` callers share one cached plan and its
+    workspace; threads must get exactly the serial bits."""
+
+    N, K, SIGNALS, THREADS = 1 << 16, 16, 32, 8
+
+    @staticmethod
+    def _bits(res):
+        return (res.locations.tobytes(), res.values.tobytes(),
+                res.votes.tobytes())
+
+    def test_threads_match_serial_bit_for_bit(self):
+        X = _signal_stack(self.N, self.K, self.SIGNALS, seed=900)
+        serial = [self._bits(sfft(x, self.K, seed=1234)) for x in X]
+        results: list[list] = [[] for _ in range(self.THREADS)]
+
+        def worker(t: int) -> None:
+            for j in range(self.SIGNALS):
+                i = (j + 4 * t) % self.SIGNALS  # threads start staggered
+                results[t].append(
+                    (i, self._bits(sfft(X[i], self.K, seed=1234)))
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,))
+                       for t in range(self.THREADS)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        got = [r for rows in results for r in rows]
+        assert len(got) == self.THREADS * self.SIGNALS
+        mismatched = sum(bits != serial[i] for i, bits in got)
+        assert mismatched == 0
