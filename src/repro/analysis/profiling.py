@@ -24,6 +24,7 @@ from ..core.plan import make_plan
 from ..core.sfft import STEP_NAMES, sfft
 from ..cpu.psfft import PsFFT
 from ..errors import ParameterError
+from ..obs import Tracer
 from ..signals.sparse import make_sparse_signal
 from ..utils.rng import RngLike
 
@@ -79,7 +80,7 @@ def measure_breakdown(
     plan = make_plan(n, k, seed=seed, **plan_overrides)
     best: dict[str, float] = {name: float("inf") for name in STEP_NAMES}
     for _ in range(repeats):
-        res = sfft(sig.time, plan=plan, profile=True)
+        res = sfft(sig.time, plan=plan, tracer=Tracer())
         for name, t in res.step_times.items():
             # step_times may carry extra stages (e.g. "comb") beyond the
             # canonical five; fold them in rather than KeyError.

@@ -1,46 +1,43 @@
-"""Batched sparse-FFT execution — one plan, a stack of signals, one pass.
+"""The sparse-FFT pipeline engine — one plan, a stack of signals, one pass.
 
-The per-call driver (:func:`~repro.core.sfft.sfft`) already amortizes plan
-synthesis; this module amortizes *execution* overhead across a ``(S, n)``
-signal stack the way the GPU implementation amortizes kernel launches:
+Every entry point runs the paper's six steps (Section III) through
+:func:`run_stack_pipeline` over an ``(S, n)`` signal stack: the per-call
+driver :func:`~repro.core.sfft.sfft` as a stack of one, the batched
+:func:`sfft_batch_fused` over a whole stack, and the sharded executor
+(:mod:`repro.core.executor`) over slices of one.  The stack amortizes
+execution overhead the way the GPU implementation amortizes kernel
+launches:
 
-* steps 1-2 run as **one** fancy-indexed gather over the whole stack
-  (:meth:`~repro.core.workspace.PlanWorkspace.bin_fused_stack`);
-* step 3 is a single ``(S*L, B)`` batched bucket FFT — the shape a batched
-  cuFFT call would take;
-* step 4 selects buckets with one batched top-k over all ``S * v_loops``
-  voting rows (:func:`~repro.core.cutoff.cutoff_rows`);
-* step 5 votes by sort-count, one sort per signal over its candidate
-  keys, with no length-``n`` score array
-  (:func:`~repro.core.recovery.recover_locations_stack`);
-* step 6 estimates all signals' hits in one vectorized pass
-  (:func:`~repro.core.estimation.estimate_values_stack`).
+1-2. permute + filter + fold, one fused gather per signal through the
+     plan workspace (:meth:`~repro.core.workspace.PlanWorkspace.bin_fused_stack`);
+3.   a single ``(S*L, B)`` batched bucket FFT — the shape a batched cuFFT
+     call would take;
+4.   one batched top-k over all ``S * v_loops`` voting rows
+     (:func:`~repro.core.cutoff.cutoff_rows`);
+5.   sort-count voting, one sort per signal over its candidate keys, with
+     no length-``n`` score array
+     (:func:`~repro.core.recovery.recover_locations_stack`);
+6.   median magnitude reconstruction per signal
+     (:func:`~repro.core.estimation.estimate_values_stack`).
 
-Every stage is a reshape of the exact computation the single-signal driver
-performs, so ``sfft_batch_fused(X, plan)[s]`` recovers the same support as
-``sfft(X[s], plan=plan)`` with (floating-point-)identical values — the
-property suite asserts this signal for signal, with and without the Comb
-pre-filter.
+Every stage is per-signal independent, so row ``s`` of a stack — whole,
+sharded, or alone — gives bit-identical results.  The ``stage`` hook is
+the one timing path: the driver, the benchmarks and the executor clock the
+same :data:`STEP_NAMES` spans through it.
 
-The stage pipeline itself is exposed as :func:`run_stack_pipeline` so the
-sharded executor (:mod:`repro.core.executor`) can drive slices of a stack
-through it concurrently — every stage is per-signal independent, so a
-shard's results are bit-identical to the same rows of one whole-stack
-pass.
-
-The public entry point is :func:`repro.core.variants.sfft_batch`, which
-routes eligible calls here and falls back to the per-signal loop for
-non-default binning modes.
+The public batch entry point is :func:`repro.core.variants.sfft_batch`.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..analysis.staticcheck.contracts import shape_contract
 from ..errors import ParameterError, RecoveryError
+from ..obs import MetricsRegistry, Tracer, emit_sfft_metrics
 from ..utils.rng import RngLike
 from ..utils.validation import as_complex_signal
 from .comb import comb_approved_residues
@@ -48,15 +45,97 @@ from .cutoff import cutoff_rows
 from .estimation import estimate_values_stack
 from .plan import SfftPlan
 from .recovery import recover_locations_stack
-from .sfft import (
-    NON_FINITE_INPUT,
-    OVERFLOWING_INPUT,
-    SparseFFTResult,
-    reject_non_finite,
-)
 
 __all__ = ["sfft_batch_fused", "run_stack_pipeline", "as_signal_stack",
-           "comb_masks_for_stack"]
+           "comb_masks_for_stack", "SparseFFTResult", "STEP_NAMES"]
+
+STEP_NAMES = ("perm_filter", "bucket_fft", "cutoff", "recovery", "estimation")
+
+
+@dataclass(frozen=True)
+class SparseFFTResult:
+    """Sparse transform output: the recovered ``(location, value)`` pairs.
+
+    Attributes
+    ----------
+    n:
+        Transform size the locations index into.
+    locations:
+        Recovered frequencies, ascending ``int64``.
+    values:
+        Complex coefficient estimates aligned with ``locations``
+        (``numpy.fft.fft`` scale).
+    votes:
+        Location-loop vote count per recovered frequency.
+    step_times:
+        Wall-clock seconds per pipeline step when ``sfft`` was given a
+        tracer, else ``None``.  A view over ``trace``: each step's spans
+        summed.  Includes a ``"comb"`` entry when the sFFT-2.0 pre-filter
+        ran.
+    trace:
+        The :class:`~repro.obs.Tracer` that clocked the run (traced calls
+        only); ``trace.export_chrome_trace()`` renders it for
+        ``chrome://tracing`` / Perfetto.
+    """
+
+    n: int
+    locations: np.ndarray
+    values: np.ndarray
+    votes: np.ndarray
+    step_times: dict[str, float] | None = field(default=None, compare=False)
+    trace: Tracer | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def k_found(self) -> int:
+        """Number of recovered coefficients."""
+        return self.locations.size
+
+    def to_dense(self) -> np.ndarray:
+        """Dense length-``n`` spectrum with the recovered coefficients."""
+        spec = np.zeros(self.n, dtype=np.complex128)
+        spec[self.locations] = self.values
+        return spec
+
+    def top(self, k: int) -> "SparseFFTResult":
+        """Restrict to the ``k`` largest-magnitude coefficients."""
+        if k >= self.k_found:
+            return self
+        order = np.argpartition(np.abs(self.values), -k)[-k:]
+        order = order[np.argsort(self.locations[order])]
+        return SparseFFTResult(
+            n=self.n,
+            locations=self.locations[order],
+            values=self.values[order],
+            votes=self.votes[order],
+            step_times=self.step_times,
+            trace=self.trace,
+        )
+
+    def as_dict(self) -> dict[int, complex]:
+        """``{frequency: value}`` mapping (convenient for assertions)."""
+        return {int(f): complex(v) for f, v in zip(self.locations, self.values)}
+
+
+#: ``reject_non_finite`` messages for its two checkpoints.
+NON_FINITE_INPUT = "input samples are NaN or infinite"
+OVERFLOWING_INPUT = "coefficient estimates overflow float64"
+
+
+def reject_non_finite(per_signal, problem: str, signal_offset: int = 0) -> None:
+    """Raise :class:`~repro.errors.ParameterError` naming the first signal
+    whose array in ``per_signal`` holds a NaN or inf.
+
+    The drivers call it on the binned ``(S, L, B)`` buckets right after
+    steps 1-2 instead of on the ``(S, n)`` input: ``S*L*B`` reads, not
+    ``S*n``, and nothing is lost — every sample the transform reads is
+    multiplied into some bucket (a NaN or inf times a zero tap is still
+    NaN), and samples it never reads cannot affect the result.  A second
+    call on the ``S*k`` estimates rejects finite input whose spectrum
+    overflows ``float64``.
+    """
+    for s, row in enumerate(per_signal):
+        if not np.isfinite(row).all():
+            raise ParameterError(f"signal {signal_offset + s}: {problem}")
 
 
 @shape_contract("X:*, plan:* -> (S, n)", dtype="complex128",
@@ -91,10 +170,9 @@ def comb_masks_for_stack(
 ) -> np.ndarray:
     """Per-signal sFFT-2.0 Comb masks, built row by row in stack order.
 
-    The masks are data-dependent, hence per-signal; each row is built
-    exactly as the per-signal driver would.  Computed in *stack order* so a
-    :class:`numpy.random.Generator` seed draws the same permutation
-    sequence whether the stack later runs serially or sharded.
+    The masks are data-dependent, hence per-signal.  Computed in *stack
+    order* so a :class:`numpy.random.Generator` seed draws the same
+    permutation sequence whether the stack later runs serially or sharded.
     """
     return np.stack([
         comb_approved_residues(
@@ -119,10 +197,12 @@ def run_stack_pipeline(
     strict: bool = False,
     signal_offset: int = 0,
     stage=None,
+    metrics: MetricsRegistry | None = None,
 ) -> list[SparseFFTResult]:
-    """Drive a validated ``(S, n)`` stack through the fused stage pipeline.
+    """Drive a validated ``(S, n)`` stack through the six-step pipeline.
 
-    This is the shard-runnable core of :func:`sfft_batch_fused`: ``X`` must
+    The one engine behind :func:`~repro.core.sfft.sfft` (a stack of one),
+    :func:`sfft_batch_fused` and the sharded executor: ``X`` must
     already be a validated stack (see :func:`as_signal_stack`) and any Comb
     masks must be precomputed (``residue_filters``, one row per signal).
     ``workspace`` is the :class:`~repro.core.workspace.PlanWorkspace` to
@@ -131,7 +211,9 @@ def run_stack_pipeline(
     signal indices in ``strict`` error messages so shard errors name the
     global stack row.  ``stage`` is an optional ``stage(name, **attrs)``
     callable returning a context manager, used to clock each stage (the
-    executor emits per-shard spans through it).
+    driver and the executor emit their spans through it).  ``metrics``
+    receives each signal's ``sfft.*`` metrics (bucket occupancy, pre-trim
+    hits and votes, collisions); ``None`` publishes nothing.
     """
     S = X.shape[0]
     params = plan.params
@@ -142,7 +224,7 @@ def run_stack_pipeline(
         def stage(name, **attrs):
             return nullcontext()
 
-    # Steps 1-2: one gather + fold for the whole stack.
+    # Steps 1-2: one fused gather + fold per signal.
     with stage("perm_filter", signals=S, loops=L, B=B):
         raw = ws.bin_fused_stack(X)
     reject_non_finite(raw, NON_FINITE_INPUT, signal_offset)
@@ -163,7 +245,7 @@ def run_stack_pipeline(
             flat_sel[s * v_loops:(s + 1) * v_loops] for s in range(S)
         ]
 
-    # Step 5: one flat vote pass for every signal.
+    # Step 5: sort-count voting, one sort per signal.
     perms_v = list(plan.permutations[:v_loops])
     with stage("recovery", loops=v_loops):
         hits, votes = recover_locations_stack(
@@ -179,12 +261,20 @@ def run_stack_pipeline(
                     f"{hits[s].size} of k={params.k} coefficients"
                 )
 
-    # Step 6: all signals' estimates in one vectorized pass.
+    # Step 6: median magnitude reconstruction.
     with stage("estimation", hits=int(sum(h.size for h in hits))):
         values = estimate_values_stack(
             hits, rows, list(plan.permutations), plan.filt, B
         )
     reject_non_finite(values, OVERFLOWING_INPUT, signal_offset)
+
+    if metrics is not None:
+        for s in range(S):
+            emit_sfft_metrics(
+                metrics, B=B, n=params.n,
+                selected_sizes=[int(sel.size) for sel in selected[s]],
+                hits=hits[s], votes=votes[s], permutations=perms_v,
+            )
 
     results = []
     for s in range(S):
@@ -216,10 +306,10 @@ def sfft_batch_fused(
     Parameters mirror :func:`~repro.core.sfft.sfft`'s execution options
     (``cutoff_method``, ``comb_width``/``comb_loops``, ``trim_to_k``,
     ``strict``); ``seed`` only seeds the Comb pre-filter's permutations,
-    exactly as it does in the per-signal driver.  ``fft_backend`` /
+    exactly as it does in :func:`~repro.core.sfft.sfft`.  ``fft_backend`` /
     ``fft_workers`` select the bucket-FFT implementation (see
     :mod:`repro.core.fft_backend`); the default resolves the process-wide
-    backend.  Returns one :class:`~repro.core.sfft.SparseFFTResult` per
+    backend.  Returns one :class:`SparseFFTResult` per
     stack row.
     """
     X = as_signal_stack(X, plan)

@@ -4,14 +4,16 @@ Three formulations of the same computation, kept deliberately separate:
 
 * :func:`bin_serial` — the paper's Algorithm 1, a literal serial loop with
   the ``index`` recurrence.  Reference semantics; used by tests only.
-* :func:`bin_vectorized` — index mapping (Figure 3) plus a reshape-sum fold.
-  This is the production CPU path.
+* :func:`bin_vectorized` — index mapping (Figure 3) plus a reshape-sum fold,
+  one loop at a time.  The pipeline runs the same fold for all loops at
+  once through :meth:`~repro.core.workspace.PlanWorkspace.bin_fused`.
 * :func:`bin_loop_partition` — the paper's Algorithm 2: outer loop over the
   ``B`` buckets (one CUDA thread each), inner loop over ``w/B`` rounds.
   Collision-free by construction (within a round, bucket indices are the
   distinct ``0..B-1``), so no atomics and no per-thread sub-histograms.
   The NumPy realization iterates rounds and vectorizes across "threads",
-  mirroring the kernel's access pattern round-for-round.
+  mirroring the kernel's access pattern round-for-round.  A test oracle
+  and the model of the GPU kernel.
 
 All three produce identical buckets:
 ``buckets[j] = sum_{i ≡ j (mod B)} x[(sigma*i + tau) % n] * filter[i]``.

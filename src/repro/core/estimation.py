@@ -180,51 +180,22 @@ def estimate_values_stack(
     filt: FlatFilter,
     B: int,
 ) -> list[np.ndarray]:
-    """Step 6 for a whole signal stack — one vectorized pass over all hits.
+    """Step 6 for a whole signal stack: :func:`estimate_values` per signal.
 
     ``bucket_rows_stack`` is the ``(S, L, B)`` frequency-domain bucket tensor
-    of the batched engine.  All signals' hit frequencies are concatenated and
-    estimated in one shot (the per-``(hit, loop)`` formulas are elementwise,
-    so batching cannot change any value); the result is split back into one
-    value array per signal, each identical to :func:`estimate_values` on
-    that signal's rows.
+    of the pipeline engine; the result holds one value array per signal.
     """
     stack = np.asarray(bucket_rows_stack)
-    if stack.ndim != 3 or stack.shape[2] != B:
+    if stack.ndim != 3:
         raise ParameterError(
             f"bucket_rows_stack must be (S, L, B), got {stack.shape}"
         )
-    S, L = stack.shape[0], stack.shape[1]
-    if len(hits_per_signal) != S:
+    if len(hits_per_signal) != stack.shape[0]:
         raise ParameterError(
-            f"{len(hits_per_signal)} hit sets for a stack of {S} signals"
+            f"{len(hits_per_signal)} hit sets for a stack of "
+            f"{stack.shape[0]} signals"
         )
-    if len(permutations) != L:
-        raise ParameterError(f"{len(permutations)} permutations for L={L} rows")
-    n = filt.n
-    n_div_b = n // B
-    sizes = [np.asarray(h).size for h in hits_per_signal]
-    bounds = np.cumsum(sizes)
-    if bounds[-1] == 0:
-        return [np.empty(0, dtype=np.complex128) for _ in range(S)]
-    freqs = np.concatenate(
-        [np.asarray(h, dtype=np.int64) for h in hits_per_signal]
-    )
-    if np.any((freqs < 0) | (freqs >= n)):
-        raise ParameterError("frequencies out of range")
-    sig_of = np.repeat(np.arange(S, dtype=np.int64), sizes)
-
-    sigmas = np.array([p.sigma for p in permutations], dtype=np.int64)
-    taus = np.array([p.tau for p in permutations], dtype=np.float64)
-
-    p = (freqs[:, None] * sigmas[None, :]) % n
-    hashed = ((p + n_div_b // 2) // n_div_b) % B
-    dist = p - ((p + n_div_b // 2) // n_div_b) * n_div_b
-
-    z = stack[sig_of[:, None], np.arange(L)[None, :], hashed]
-    g = filt.freq[(-dist) % n]
-    phase = np.exp(
-        -2j * np.pi * taus[None, :] * freqs[:, None].astype(np.float64) / n
-    )
-    values = componentwise_median(n * z / g * phase)
-    return list(np.split(values, bounds[:-1]))
+    return [
+        estimate_values(hits, rows, permutations, filt, B)
+        for hits, rows in zip(hits_per_signal, stack)
+    ]

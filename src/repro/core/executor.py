@@ -86,10 +86,14 @@ from ..analysis.staticcheck.contracts import shape_contract
 from ..errors import ExecutorError, ParameterError
 from ..obs import MetricsRegistry, Tracer, global_registry, monotonic
 from ..utils.rng import RngLike
-from .batch import as_signal_stack, comb_masks_for_stack, run_stack_pipeline
+from .batch import (
+    SparseFFTResult,
+    as_signal_stack,
+    comb_masks_for_stack,
+    run_stack_pipeline,
+)
 from .fft_backend import get_backend
 from .plan import SfftPlan
-from .sfft import SparseFFTResult
 from .shm import (
     AttachedSegment,
     PlanDescriptor,

@@ -87,8 +87,8 @@ def rsfft(x, k: int | None = None, **kwargs) -> SparseFFTResult:
     )
 
 
-_EXEC_KEYS = ("binning", "cutoff_method", "comb_width", "comb_loops",
-              "trim_to_k", "strict", "profile", "fft_backend", "fft_workers")
+_EXEC_KEYS = ("cutoff_method", "comb_width", "comb_loops", "trim_to_k",
+              "strict", "fft_backend", "fft_workers")
 
 
 def sfft_batch(
@@ -105,9 +105,9 @@ def sfft_batch(
     ``signals`` is a ``(batch, n)`` array or a sequence of length-``n``
     arrays.  The plan (filter + permutation schedule) comes from the
     process-level cache when not supplied; the stack then runs through the
-    fused batch engine (:mod:`repro.core.batch`) — one gather, one
-    ``(S*L, B)`` bucket FFT, one vote pass for every signal.  Per-signal
-    results match ``sfft(signals[s], plan=plan)`` exactly.
+    pipeline engine (:mod:`repro.core.batch`) — one ``(S*L, B)`` bucket
+    FFT and one batched cutoff for every signal.  Per-signal results match
+    ``sfft(signals[s], plan=plan)`` exactly.
 
     ``executor`` parallelizes the fused engine across shards of the stack:
     pass a :class:`~repro.core.executor.ShardedExecutor`, or an ``int``
@@ -118,11 +118,6 @@ def sfft_batch(
     Sharded results are bit-identical to the serial fused engine in every
     mode.  ``fft_backend`` / ``fft_workers`` keyword arguments select the
     bucket-FFT implementation (:mod:`repro.core.fft_backend`).
-
-    Requests the fused engine cannot express (an explicit non-default
-    ``binning``, or ``profile=True`` for per-step timing) fall back to the
-    per-signal driver loop — ignoring ``executor`` — preserving the old
-    semantics.
     """
     if isinstance(signals, np.ndarray):
         # Rows of a contiguous stack validate without copying; the fused
@@ -140,12 +135,17 @@ def sfft_batch(
     for r in rows:
         if r.size != n:
             raise ParameterError("all batch signals must share one length")
+    plan_kwargs = {
+        key: val for key, val in kwargs.items() if key not in _EXEC_KEYS
+    }
+    if plan is not None and plan_kwargs:
+        raise ParameterError(
+            f"plan overrides {sorted(plan_kwargs)} apply only to plan-less "
+            f"calls; the given plan fixes its parameters"
+        )
     if plan is None:
         if k is None:
             raise ParameterError("either k or a plan must be provided")
-        plan_kwargs = {
-            key: val for key, val in kwargs.items() if key not in _EXEC_KEYS
-        }
         # The resolution seam (repro.core.params): a wisdom hit supplies
         # B/loops/comb for the plan plus — because the batch surface owns
         # them — the execution knobs (backend, executor mode, workers,
@@ -179,34 +179,24 @@ def sfft_batch(
     exec_kwargs = {
         key: val for key, val in kwargs.items() if key in _EXEC_KEYS
     }
-    fused_ok = (
-        exec_kwargs.get("binning", "vectorized") == "vectorized"
-        and not exec_kwargs.get("profile", False)
-    )
-    if fused_ok:
-        exec_kwargs.pop("binning", None)
-        exec_kwargs.pop("profile", None)
-        X = stack if stack is not None else np.stack(rows)
-        if executor is not None:
-            from .executor import ShardedExecutor
+    X = stack if stack is not None else np.stack(rows)
+    if executor is not None:
+        from .executor import ShardedExecutor
 
-            if isinstance(executor, int):
-                executor = ShardedExecutor(workers=executor)
-            if not isinstance(executor, ShardedExecutor):
+        if isinstance(executor, int):
+            executor = ShardedExecutor(workers=executor)
+        if not isinstance(executor, ShardedExecutor):
+            raise ParameterError(
+                f"executor must be a ShardedExecutor or an int worker "
+                f"count, got {type(executor).__name__}"
+            )
+        # The executor owns its FFT-backend binding; per-call
+        # fft_backend/fft_workers would silently fight it.
+        for key in ("fft_backend", "fft_workers"):
+            if key in exec_kwargs:
                 raise ParameterError(
-                    f"executor must be a ShardedExecutor or an int worker "
-                    f"count, got {type(executor).__name__}"
+                    f"pass {key} to the ShardedExecutor, not alongside "
+                    f"executor="
                 )
-            # The executor owns its FFT-backend binding; per-call
-            # fft_backend/fft_workers would silently fight it.
-            for key in ("fft_backend", "fft_workers"):
-                if key in exec_kwargs:
-                    raise ParameterError(
-                        f"pass {key} to the ShardedExecutor, not alongside "
-                        f"executor="
-                    )
-            return executor.run(X, plan, seed=seed, **exec_kwargs)
-        return sfft_batch_fused(X, plan, seed=seed, **exec_kwargs)
-    exec_kwargs.pop("fft_backend", None)
-    exec_kwargs.pop("fft_workers", None)
-    return [sfft(r, plan=plan, seed=seed, **exec_kwargs) for r in rows]
+        return executor.run(X, plan, seed=seed, **exec_kwargs)
+    return sfft_batch_fused(X, plan, seed=seed, **exec_kwargs)

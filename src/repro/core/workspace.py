@@ -17,8 +17,8 @@ For one plan the workspace precomputes
 With those in place, :meth:`PlanWorkspace.bin_fused` performs the paper's
 steps 1-2 for *all* ``L`` loops as one fancy-indexed gather plus one
 reshape-sum — no Python-level loop over loops — and
-:meth:`PlanWorkspace.bin_fused_stack` extends the same fusion over a stack
-of ``S`` signals for the batched engine (:mod:`repro.core.batch`).
+:meth:`PlanWorkspace.bin_fused_stack` applies it to each row of an
+``(S, n)`` stack for the pipeline engine (:mod:`repro.core.batch`).
 
 This is the CPU analog of ``cusim``'s
 :class:`~repro.cusim.memory_pool.DeviceMemoryPool`: device codes keep
@@ -56,14 +56,6 @@ __all__ = ["PlanWorkspace", "GATHER_ELEMENT_CAP"]
 #: fly instead — the asymptotic regime where the index matrix would rival
 #: the signal itself in footprint (int64 gather entries are 8 bytes each).
 GATHER_ELEMENT_CAP = 1 << 25
-
-#: Per-chunk budget (complex elements) for the stacked gather intermediate.
-#: One giant ``(S, L, w)`` gather output defeats the cache it is trying to
-#: feed — measured on the bench workload (n=2^18, S=16), whole-stack
-#: gathers run ~3x slower than cache-sized chunks.  2^17 complex elements
-#: is 2 MB: small plans still gather many signals per chunk, large plans
-#: degrade gracefully to one signal at a time.
-STACK_CHUNK_ELEMENTS = 1 << 17
 
 
 class PlanWorkspace:
@@ -328,34 +320,19 @@ class PlanWorkspace:
     def bin_fused_stack(self, X: np.ndarray) -> np.ndarray:
         """Fused binning over an ``(S, n)`` signal stack -> ``(S, L, B)``.
 
-        Per-signal rows are identical to :meth:`bin_fused` on that signal;
-        the stack form exists so the batched engine gathers whole chunks of
-        the batch at once.  Chunking (see :data:`STACK_CHUNK_ELEMENTS`)
-        bounds the gather intermediate so the fold stays cache-resident
-        even for large stacks.
+        Row ``s`` is :meth:`bin_fused` on ``X[s]``, written in place.  One
+        signal at a time keeps each gather a single fancy-indexed read of
+        a 1-D signal, which measured no slower than a 2-D gather over
+        several rows at n = 2^10-2^20, and up to 5x faster at small n.
         """
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ParameterError(
                 f"signal stack must be (S, {self.n}), got {X.shape}"
             )
-        S = X.shape[0]
-        gather = self.gather
-        out = np.empty((S, self.loops, self.B), dtype=np.complex128)
-        if gather is None:
-            for s in range(S):
-                self.bin_fused(X[s], out=out[s])
-            return out
-        per_signal = self.loops * self._padded
-        chunk = max(1, STACK_CHUNK_ELEMENTS // per_signal)
-        for lo in range(0, S, chunk):
-            hi = min(lo + chunk, S)
-            y = X[lo:hi, gather]
-            y *= self.taps_flat
-            np.sum(
-                y.reshape(hi - lo, self.loops, self.rounds, self.B), axis=2,
-                out=out[lo:hi],
-            )
+        out = np.empty((X.shape[0], self.loops, self.B), dtype=np.complex128)
+        for s, x in enumerate(X):
+            self.bin_fused(x, out=out[s])
         return out
 
     @shape_contract(

@@ -6,7 +6,7 @@ timebase:
 
 * **live spans** — opened with :meth:`Tracer.span` around real CPU work and
   clocked with ``time.perf_counter`` relative to the tracer's origin (this
-  is what ``sfft(..., profile=True)`` uses for its Figure-2 breakdowns);
+  is what ``sfft(..., tracer=...)`` uses for its Figure-2 breakdowns);
 * **synthetic spans** — injected with :meth:`Tracer.add_span` /
   :meth:`Tracer.add_timeline` from the simulated-GPU scheduler, whose
   timestamps start at the simulation's time zero.

@@ -18,6 +18,7 @@ import pytest
 # ``repro.core``'s ``from .sfft import sfft`` shadows the submodule name
 # with the function, so fetch the module object explicitly.
 sfft_mod = importlib.import_module("repro.core.sfft")
+from repro.core import PlanWorkspace
 from repro.obs import MetricsRegistry, Tracer, make_run_record, write_jsonl
 from repro.signals import make_sparse_signal
 
@@ -77,15 +78,15 @@ class TestBenchGateEndToEnd:
         assert gate.main(args) == 0
         assert "no confirmed regression" in capsys.readouterr().out
 
-        # 3. Slow the perm+filter binner 3x (the paper's dominant step):
+        # 3. Slow the perm+filter binner (the paper's dominant step):
         #    the gate must fail and name the step.
-        real_binner = sfft_mod._BINNERS["vectorized"]
+        real_binner = PlanWorkspace.bin_fused
 
         def slow_binner(*a, **kw):
             time.sleep(0.01)
             return real_binner(*a, **kw)
 
-        monkeypatch.setitem(sfft_mod._BINNERS, "vectorized", slow_binner)
+        monkeypatch.setattr(PlanWorkspace, "bin_fused", slow_binner)
         runs.unlink()
         _write_runs(runs, plan, signal)
         assert gate.main(args) == 1
@@ -132,13 +133,13 @@ class TestBenchGateEndToEnd:
         _write_runs(runs, plan, signal)
         assert gate.main(args) == 0
 
-        real_binner = sfft_mod._BINNERS["vectorized"]
+        real_binner = PlanWorkspace.bin_fused
 
         def slow_binner(*a, **kw):
             time.sleep(0.01)
             return real_binner(*a, **kw)
 
-        monkeypatch.setitem(sfft_mod._BINNERS, "vectorized", slow_binner)
+        monkeypatch.setattr(PlanWorkspace, "bin_fused", slow_binner)
         runs.unlink()
         _write_runs(runs, plan, signal)
         assert gate.main([*args, "--classes", "modeled", "accuracy"]) == 0

@@ -93,16 +93,6 @@ class TestPlanLifecycles:
         for sig, out in zip(sigs, outs):
             assert set(out.locations.tolist()) == set(sig.locations.tolist())
 
-    def test_one_plan_many_binnings(self):
-        n, k = 1 << 12, 6
-        plan = make_plan(n, k, seed=32)
-        sig = make_sparse_signal(n, k, seed=33)
-        outs = [
-            sfft(sig.time, plan=plan, binning=b)
-            for b in ("vectorized", "loop_partition")
-        ]
-        assert (outs[0].locations == outs[1].locations).all()
-
     def test_reseeded_plan_same_answers_different_schedule(self):
         n, k = 1 << 12, 6
         plan = make_plan(n, k, seed=34)

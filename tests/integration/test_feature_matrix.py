@@ -1,5 +1,5 @@
 """Feature-matrix test: exact recovery must hold across the cross product of
-user-facing options — windows, profiles, binning formulations, cutoffs,
+user-facing options — windows, profiles, cutoffs,
 Comb screening, and loop splits.  A release-blocking grid."""
 
 import itertools
@@ -14,7 +14,6 @@ N, K = 1 << 13, 8
 
 WINDOWS = ("dolph-chebyshev", "gaussian")
 PROFILES = ("accurate", "fast")
-BINNINGS = ("vectorized", "loop_partition")
 CUTOFFS = ("topk", "threshold")
 
 
@@ -24,12 +23,12 @@ def signal():
 
 
 @pytest.mark.parametrize(
-    "window,profile,binning,cutoff",
-    list(itertools.product(WINDOWS, PROFILES, BINNINGS, CUTOFFS)),
+    "window,profile,cutoff",
+    list(itertools.product(WINDOWS, PROFILES, CUTOFFS)),
 )
-def test_recovery_across_option_grid(signal, window, profile, binning, cutoff):
+def test_recovery_across_option_grid(signal, window, profile, cutoff):
     plan = make_plan(N, K, seed=11, window=window, profile=profile)
-    res = sfft(signal.time, plan=plan, binning=binning, cutoff_method=cutoff)
+    res = sfft(signal.time, plan=plan, cutoff_method=cutoff)
     assert set(res.locations.tolist()) == set(signal.locations.tolist())
     for f, v in res.as_dict().items():
         truth = signal.values[list(signal.locations).index(f)]

@@ -1,6 +1,6 @@
 """Integration: one observability layer across CPU, simulated GPU, harness.
 
-Pins the PR's acceptance criteria: a profiled CPU ``sfft`` and a
+Pins the PR's acceptance criteria: a traced CPU ``sfft`` and a
 ``CusFFT.execute`` run populate the same ``sfft.*`` metric names, and the
 exported Chrome trace is valid JSON with one ``tid`` per simulated stream
 and non-negative, in-order timestamps.
@@ -8,9 +8,12 @@ and non-negative, in-order timestamps.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import make_sparse_signal, sfft
+from repro.core import STEP_NAMES, ShardedExecutor, make_plan, run_stack_pipeline
+from repro.core.batch import as_signal_stack
 from repro.experiments import run_experiment
 from repro.gpu import CusFFT
 from repro.obs import MetricsRegistry, Tracer, validate_run_record
@@ -25,7 +28,7 @@ def signal():
 
 def test_cpu_and_gpu_emit_same_sfft_metric_names(signal):
     cpu_reg, gpu_reg = MetricsRegistry(), MetricsRegistry()
-    sfft(signal.time, K, seed=1, profile=True, metrics=cpu_reg)
+    sfft(signal.time, K, seed=1, tracer=Tracer(), metrics=cpu_reg)
     CusFFT.create(N, K).execute(signal.time, seed=1, metrics=gpu_reg)
     cpu_names = {n for n in cpu_reg.names() if n.startswith("sfft.")}
     gpu_names = {n for n in gpu_reg.names() if n.startswith("sfft.")}
@@ -38,7 +41,7 @@ def test_cpu_and_gpu_emit_same_sfft_metric_names(signal):
 
 
 def test_step_times_is_view_over_trace(signal):
-    res = sfft(signal.time, K, seed=1, profile=True)
+    res = sfft(signal.time, K, seed=1, tracer=Tracer())
     assert res.trace is not None
     sums = {}
     for sp in res.trace.spans:
@@ -48,9 +51,49 @@ def test_step_times_is_view_over_trace(signal):
 
 
 def test_comb_step_is_timed(signal):
-    res = sfft(signal.time, K, seed=1, profile=True, comb_width=64)
+    res = sfft(signal.time, K, seed=1, tracer=Tracer(), comb_width=64)
     assert "comb" in res.step_times
     assert res.step_times["comb"] > 0
+
+
+def test_one_span_vocabulary_across_entry_points():
+    """Single, fused and sharded calls clock the same steps, through the
+    one stage hook, and return the same bits."""
+    S = 4
+    plan = make_plan(N, K, seed=3)
+    X = np.stack([make_sparse_signal(N, K, seed=60 + s).time
+                  for s in range(S)])
+
+    single_tracer = Tracer()
+    singles = [sfft(x, plan=plan, tracer=single_tracer,
+                    metrics=MetricsRegistry()) for x in X]
+
+    stage_tracer = Tracer()
+
+    def stage(name, **attrs):
+        return stage_tracer.span(name, category="stage", **attrs)
+
+    fused = run_stack_pipeline(as_signal_stack(X, plan), plan, stage=stage)
+
+    shard_tracer = Tracer()
+    sharded = ShardedExecutor(workers=2, mode="thread").run(
+        X, plan, tracer=shard_tracer, metrics=MetricsRegistry()
+    )
+
+    shard_steps = set()
+    for sp in shard_tracer.spans:
+        shard, dot, step = sp.name.partition(".")
+        if shard.startswith("shard") and dot:
+            shard_steps.add(step)
+    assert {sp.name for sp in single_tracer.spans} == set(STEP_NAMES)
+    assert {sp.name for sp in stage_tracer.spans} == set(STEP_NAMES)
+    assert shard_steps == set(STEP_NAMES)
+
+    for one, two, three in zip(singles, fused, sharded, strict=True):
+        for field in ("locations", "values", "votes"):
+            want = getattr(one, field).tobytes()
+            assert getattr(two, field).tobytes() == want
+            assert getattr(three, field).tobytes() == want
 
 
 def test_chrome_trace_one_tid_per_stream(signal):

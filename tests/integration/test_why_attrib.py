@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 sfft_mod = importlib.import_module("repro.core.sfft")
-from repro.core import ShardedExecutor
+from repro.core import PlanWorkspace, ShardedExecutor
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -75,13 +75,13 @@ class TestAttributionEndToEnd:
         assert gate.main(args) == 0  # recording mode
         capsys.readouterr()
 
-        real_binner = sfft_mod._BINNERS["vectorized"]
+        real_binner = PlanWorkspace.bin_fused
 
         def slow_binner(*a, **kw):
             time.sleep(0.01)
             return real_binner(*a, **kw)
 
-        monkeypatch.setitem(sfft_mod._BINNERS, "vectorized", slow_binner)
+        monkeypatch.setattr(PlanWorkspace, "bin_fused", slow_binner)
         runs.unlink()
         _write_runs(runs, plan, signal)
         assert gate.main(args) == 1

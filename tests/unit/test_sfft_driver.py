@@ -6,6 +6,7 @@ import pytest
 from repro.core import STEP_NAMES, SparseFFTResult, dense_fft, dense_topk, sfft
 from repro.core.dense import reconstruct_time
 from repro.errors import ParameterError, RecoveryError
+from repro.obs import Tracer
 from repro.signals import add_awgn, make_sparse_signal
 
 
@@ -47,14 +48,6 @@ class TestSfftExactRecovery:
         res = sfft(noisy, 16, seed=9)
         assert set(res.locations.tolist()) == set(sig.locations.tolist())
 
-    def test_binning_variants_agree(self, plan_small, signal_small):
-        base = sfft(signal_small.time, plan=plan_small, binning="vectorized")
-        alt = sfft(signal_small.time, plan=plan_small, binning="loop_partition")
-        assert (base.locations == alt.locations).all()
-        assert np.abs(base.values - alt.values).max() < 1e-9 * np.abs(
-            base.values
-        ).max()
-
     def test_threshold_cutoff_recovers(self, plan_medium, signal_medium):
         res = sfft(signal_medium.time, plan=plan_medium, cutoff_method="threshold")
         assert set(res.locations.tolist()) == set(signal_medium.locations.tolist())
@@ -68,9 +61,35 @@ class TestSfftDriverOptions:
         assert np.array_equal(a.values, b.values)
 
     def test_profile_records_all_steps(self, plan_small, signal_small):
-        res = sfft(signal_small.time, plan=plan_small, profile=True)
+        res = sfft(signal_small.time, plan=plan_small, tracer=Tracer())
         assert set(res.step_times) == set(STEP_NAMES)
         assert all(t >= 0 for t in res.step_times.values())
+
+    @pytest.mark.parametrize("override", [{"binning": "serial"},
+                                          {"profile": True}])
+    def test_overrides_rejected_alongside_a_plan(self, plan_small,
+                                                 signal_small, override):
+        from repro.core import sfft_batch
+
+        with pytest.raises(ParameterError, match="plan overrides"):
+            sfft(signal_small.time, plan=plan_small, **override)
+        with pytest.raises(ParameterError, match="plan overrides"):
+            sfft_batch([signal_small.time], plan=plan_small, **override)
+
+    def test_profile_selects_the_plan_profile(self):
+        # ``profile`` is a plan-derivation override like ``loops``: it
+        # reaches the plan (the fast filter) and switches no timing on.
+        from repro.core import make_plan
+
+        n, k, seed = 1 << 14, 8, 3
+        x = make_sparse_signal(n, k, seed=4).time
+        got = sfft(x, k, seed=seed, profile="fast", loops=6)
+        want = sfft(x, plan=make_plan(n, k, seed=seed, profile="fast",
+                                      loops=6))
+        assert got.step_times is None and got.trace is None
+        np.testing.assert_array_equal(got.locations, want.locations)
+        np.testing.assert_array_equal(got.values, want.values)
+        np.testing.assert_array_equal(got.votes, want.votes)
 
     def test_no_profile_no_times(self, plan_small, signal_small):
         assert sfft(signal_small.time, plan=plan_small).step_times is None
@@ -78,10 +97,6 @@ class TestSfftDriverOptions:
     def test_requires_k_or_plan(self, signal_small):
         with pytest.raises(ParameterError):
             sfft(signal_small.time)
-
-    def test_unknown_binning(self, plan_small, signal_small):
-        with pytest.raises(ParameterError):
-            sfft(signal_small.time, plan=plan_small, binning="quantum")
 
     def test_signal_length_must_match_plan(self, plan_small):
         with pytest.raises(ParameterError):

@@ -11,6 +11,8 @@ import pytest
 from repro.core import (
     PlanWorkspace,
     bin_vectorized,
+    estimate_values,
+    estimate_values_stack,
     permuted_indices,
     sfft,
     sfft_batch_fused,
@@ -137,12 +139,30 @@ class TestBinFused:
         assert not hasattr(ws, "raw") and not hasattr(ws, "scores")
 
     def test_stack_rows_match_single(self, plan_small):
-        X = _signal_stack(1024, 4, 3)
+        # 32 small signals: a stack many rows deep, where a 2-D gather
+        # would pack several signals into one read.
+        X = _signal_stack(1024, 4, 32)
         ws = plan_small.workspace()
         stack = ws.bin_fused_stack(X)
-        for s in range(3):
+        for s in range(32):
+            np.testing.assert_array_equal(stack[s], ws.bin_fused(X[s]))
+
+    def test_stack_estimates_match_single(self, plan_small):
+        X = _signal_stack(1024, 4, 32)
+        ws = plan_small.workspace()
+        B, L = ws.B, ws.loops
+        rows = ws.bucket_fft(
+            ws.bin_fused_stack(X).reshape(-1, B)
+        ).reshape(32, L, B)
+        perms = list(plan_small.permutations)
+        rng = np.random.default_rng(3)
+        hits = [np.sort(rng.choice(1024, size=s % 6, replace=False))
+                for s in range(32)]
+        stack = estimate_values_stack(hits, rows, perms, plan_small.filt, B)
+        for s in range(32):
             np.testing.assert_array_equal(
-                stack[s], ws.bin_fused(X[s]).copy()
+                stack[s],
+                estimate_values(hits[s], rows[s], perms, plan_small.filt, B),
             )
 
     def test_stack_fallback_matches(self, plan_small):
