@@ -17,6 +17,16 @@ so each loop yields the unbiased estimate
 The final value is the coordinate-wise median (real and imaginary parts
 separately — exactly the paper's step 6) over the ``L`` loops, which rejects
 the occasional loop where ``f`` collided with another coefficient.
+
+Two CPU choices keep this cheap on hit-heavy stacks (thousands of hits per
+signal on noisy input):
+
+* the phase ``exp(-2j*pi*tau_r*f/n)`` is reduced exactly in integers and
+  read from two ``~sqrt(n)``-entry unit-root tables built per call (see
+  :func:`_phase`), with no complex ``np.exp`` per ``(hit, loop)``; it is
+  within a few ulps of the exactly reduced phase at every ``n <= 2^31``;
+* the median is one sort per component (:func:`_sorted_median`), equal to
+  ``np.median`` bit for bit, NaN rows included, so overflow still surfaces.
 """
 
 from __future__ import annotations
@@ -36,6 +46,24 @@ __all__ = [
     "clean_loop_counts",
     "median_reliable",
 ]
+
+
+def _phase(freqs: np.ndarray, taus: np.ndarray, n: int) -> np.ndarray:
+    """``exp(-2j*pi*tau*f/n)`` per (hit, loop), shape ``(F, L)``.
+
+    The exponent is reduced exactly in integers, ``m = tau*f mod n``, and
+    ``exp(-2j*pi*m/n)`` is the product of two table entries split at bit
+    ``h``: ``hi[m >> h] * lo[m & (2^h - 1)]``.  Each table holds about
+    ``sqrt(n)`` unit roots, so building them per call is cheaper than one
+    complex ``np.exp`` per element, and the result is within a few ulps
+    of the exactly reduced phase at every ``n``, where a float
+    ``tau*f/n`` carries an argument error that grows with ``tau*f``.
+    """
+    m = (freqs[:, None] * taus[None, :]) % n
+    h = n.bit_length() // 2
+    lo = np.exp(-2j * np.pi * np.arange(1 << h) / n)
+    hi = np.exp(-2j * np.pi * np.arange(0, n, 1 << h) / n)
+    return hi[m >> h] * lo[m & ((1 << h) - 1)]
 
 
 @shape_contract("frequencies:(F,), bucket_rows:(L, B):complex128 -> (F, L)",
@@ -63,6 +91,9 @@ def loop_estimates(
     if len(permutations) != L:
         raise ParameterError(f"{len(permutations)} permutations for L={L} rows")
     n = filt.n
+    if n > 1 << 31:
+        raise ParameterError(f"n={n} exceeds 2^31: the int64 products "
+                             "f*sigma and f*tau would overflow")
     n_div_b = n // B
     if freqs.size == 0:
         return np.empty((0, L), dtype=np.complex128)
@@ -70,7 +101,7 @@ def loop_estimates(
         raise ParameterError("frequencies out of range")
 
     sigmas = np.array([p.sigma for p in permutations], dtype=np.int64)
-    taus = np.array([p.tau for p in permutations], dtype=np.float64)
+    taus = np.array([p.tau for p in permutations], dtype=np.int64)
 
     # permuted position per (hit, loop); int64 is safe: f, sigma < n <= 2^31.
     p = (freqs[:, None] * sigmas[None, :]) % n
@@ -79,8 +110,7 @@ def loop_estimates(
 
     z = rows[np.arange(L)[None, :], hashed]
     g = filt.freq[(-dist) % n]
-    phase = np.exp(-2j * np.pi * taus[None, :] * freqs[:, None].astype(np.float64) / n)
-    return n * z / g * phase
+    return n * z / g * _phase(freqs, taus, n)
 
 
 def clean_loop_counts(
@@ -146,12 +176,26 @@ def median_reliable(
     return counts > len(permutations) // 2
 
 
+def _sorted_median(values: np.ndarray) -> np.ndarray:
+    """``np.median(values, axis=-1)`` of a real array, by one sort.
+
+    The middle element for odd ``L``, the mean of the two middle ones for
+    even ``L``, computed as ``np.median`` does, so the bits match.  Sorting
+    puts NaNs last, so a row holding any NaN is set to NaN as
+    ``np.median`` returns it.
+    """
+    s = np.sort(values, axis=-1)
+    mid = s.shape[-1] // 2
+    med = s[..., mid] if s.shape[-1] % 2 else (s[..., mid - 1] + s[..., mid]) / 2
+    return np.where(np.isnan(s[..., -1]), np.nan, med)
+
+
 def componentwise_median(estimates: np.ndarray) -> np.ndarray:
     """Median of real and imaginary parts separately along the last axis."""
     est = np.asarray(estimates)
     if est.size == 0:
         return np.empty(est.shape[:-1], dtype=np.complex128)
-    return np.median(est.real, axis=-1) + 1j * np.median(est.imag, axis=-1)
+    return _sorted_median(est.real) + 1j * _sorted_median(est.imag)
 
 
 @shape_contract("frequencies:(F,), bucket_rows:(L, B):complex128 -> (F,)",

@@ -80,6 +80,14 @@ def _candidate_keys(
     return keys
 
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Boolean mask of the first element of each run in sorted 1-D ``a``."""
+    starts = np.empty(a.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(a[1:], a[:-1], out=starts[1:])
+    return starts
+
+
 def _vote(
     selected_per_loop: list[np.ndarray],
     sigma_inv: np.ndarray,
@@ -91,15 +99,16 @@ def _vote(
     """Sort-count voting for one signal: ``(hits, votes)``, both ``int64``.
 
     ``sigma_inv[r]`` is loop ``r``'s inverse stride.  Duplicate bucket
-    indices within a loop vote once: the ``(loop, bucket)`` pairs are made
-    distinct before any candidate is generated.
+    indices within a loop vote once: the ``(loop, bucket)`` pairs are
+    sorted and made distinct before any candidate is generated.
     """
     empty = np.empty(0, dtype=np.int64)
     loops = [_buckets(sel, B) for sel in selected_per_loop]
     sizes = [J.size for J in loops]
-    pairs = np.unique(
+    pairs = np.sort(
         np.repeat(np.arange(len(loops)) * B, sizes) + np.concatenate(loops)
     )
+    pairs = pairs[_run_starts(pairs)]
     keys = _candidate_keys(pairs % B, sigma_inv[pairs // B], n, B).ravel()
     if mask is not None:
         keys = keys[mask[keys % mask.size]]
@@ -113,7 +122,7 @@ def _vote(
     vals = keys[np.flatnonzero(keys[reach:] == keys[:keys.size - reach])]
     if vals.size == 0:
         return empty, empty
-    first = np.flatnonzero(np.concatenate(([True], vals[1:] != vals[:-1])))
+    first = np.flatnonzero(_run_starts(vals))
     votes = np.diff(np.append(first, vals.size)) + reach
     return vals[first].astype(np.int64), votes.astype(np.int64)
 

@@ -294,12 +294,12 @@ def emit_sfft_metrics(
     registry.histogram("sfft.recovery.votes").observe_many(
         np.asarray(votes, dtype=np.int64).tolist()
     )
-    collisions = 0
-    if hits.size:
-        h = np.asarray(hits, dtype=np.int64)
-        n_div_b = n // B
-        for perm in permutations[: len(selected_sizes)]:
-            permuted = (h * perm.sigma) % n
-            buckets = ((permuted + n_div_b // 2) // n_div_b) % B
-            collisions += int(h.size - np.unique(buckets).size)
+    sigmas = np.array([p.sigma for p in permutations[: len(selected_sizes)]],
+                      dtype=np.int64)
+    n_div_b = n // B
+    permuted = (np.asarray(hits, dtype=np.int64)[:, None] * sigmas) % n
+    # One column per loop; sorted, each run of equal buckets is one
+    # distinct bucket, so a loop's collisions are hits minus runs.
+    buckets = np.sort(((permuted + n_div_b // 2) // n_div_b) % B, axis=0)
+    collisions = int(np.count_nonzero(buckets[1:] == buckets[:-1]))
     registry.counter("sfft.collisions").inc(collisions)

@@ -3,10 +3,12 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core import (
     bin_vectorized,
     bucket_fft,
+    componentwise_median,
     estimate_values,
     load_plan,
     make_plan,
@@ -14,6 +16,73 @@ from repro.core import (
     sfft,
 )
 from repro.signals import make_sparse_signal
+
+
+def _numpy_median(est):
+    return np.median(est.real, axis=-1) + 1j * np.median(est.imag, axis=-1)
+
+
+def _complex(re, im):
+    """``re + 1j*im`` without the NaN that ``1j * inf`` puts in the real part."""
+    est = np.empty(np.shape(re), dtype=np.complex128)
+    est.real, est.imag = re, im
+    return est
+
+
+#: Finite floats of every magnitude plus both infinities, so rows can hold
+#: ``+inf`` and ``-inf`` together.
+_parts = st.one_of(st.floats(allow_nan=False, width=64),
+                   st.sampled_from([np.inf, -np.inf]))
+
+
+@st.composite
+def loop_estimate_arrays(draw):
+    """``(F, L)`` complex arrays with ``L`` in 1..12."""
+    shape = (draw(st.integers(min_value=1, max_value=6)),
+             draw(st.integers(min_value=1, max_value=12)))
+    return _complex(draw(arrays(np.float64, shape, elements=_parts)),
+                    draw(arrays(np.float64, shape, elements=_parts)))
+
+
+@given(loop_estimate_arrays())
+@settings(max_examples=200, deadline=None)
+def test_sort_median_matches_numpy_median(est):
+    """The sort median gives ``np.median``'s values for every loop count,
+    infinities of both signs included."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = componentwise_median(est), _numpy_median(est)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_sort_median_both_infinities_in_one_row():
+    # Even L: -inf and +inf in the middle average to NaN, as in np.median;
+    # odd L picks the finite middle element.
+    inf = np.inf
+    even = np.array([[-inf, inf, 1.0, -1.0], [inf, -inf, inf, -inf]])
+    est = _complex(even, even[::-1])
+    odd = _complex(np.array([[-inf, inf, 3.0]]), np.array([[inf, -2.0, -inf]]))
+    with np.errstate(invalid="ignore"):
+        got_even, want_even = componentwise_median(est), _numpy_median(est)
+        got_odd, want_odd = componentwise_median(odd), _numpy_median(odd)
+    assert np.array_equal(got_even, want_even, equal_nan=True)
+    assert np.isnan(got_even).all()
+    assert np.array_equal(got_odd, want_odd)
+    assert got_odd[0] == 3 - 2j
+
+
+def test_sort_median_nan_anywhere_makes_the_row_nan():
+    """One NaN in any loop, in either component, poisons that row only,
+    as in np.median, so overflow rejection still sees it."""
+    rng = np.random.default_rng(5)
+    for L in range(1, 13):
+        for pos in range(L):
+            for part in ("real", "imag"):
+                est = _complex(rng.standard_normal((3, L)),
+                               rng.standard_normal((3, L)))
+                getattr(est, part)[1, pos] = np.nan
+                got = componentwise_median(est)
+                assert np.array_equal(got, _numpy_median(est), equal_nan=True)
+                assert np.isnan(got[1]) and np.isfinite(got[[0, 2]]).all()
 
 
 @given(

@@ -119,3 +119,28 @@ def test_uint32_wraparound_at_n_2_31():
         want = (freqs[keep].astype(np.int64), counts[keep].astype(np.int64))
         _assert_same(recover_locations(selected, perms, B, threshold), want)
     assert set(true.tolist()) <= set(want[0].tolist())
+
+
+def test_degenerate_loops_match_dense_oracle():
+    """Empty loops, loops of one repeated bucket and B = 1 (one bucket
+    covering all of Z_n), where a dedupe mask built for a non-empty
+    selection would not fit."""
+    rng = np.random.default_rng(15)
+    n = 64
+    perms = [random_permutation(n, rng) for _ in range(4)]
+    empty = np.array([])
+    cases = [
+        (1, [empty]),
+        (1, [np.array([0]), np.array([0, 0]), empty, np.array([0, 0, 0])]),
+        (8, [empty, empty, empty, empty]),
+        (8, [np.array([5, 5, 5]), empty, np.array([2, 2]), np.array([5])]),
+        (8, [np.array([7, 7]), np.array([7, 7]), np.array([7]), empty]),
+    ]
+    for B, selected in cases:
+        loops = perms[:len(selected)]
+        for threshold in range(1, len(selected) + 1):
+            want = _dense_oracle(selected, loops, B, threshold)
+            _assert_same(recover_locations(selected, loops, B, threshold),
+                         want)
+            stack = recover_locations_stack([selected], loops, B, threshold)
+            _assert_same((stack[0][0], stack[1][0]), want)

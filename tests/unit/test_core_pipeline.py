@@ -1,6 +1,8 @@
 """Unit tests for the sFFT pipeline stages: permutation, binning, subsampled
 FFT, cutoff, recovery, estimation."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,14 @@ from repro.core import (
     select_topk,
     subsample_spectrum,
 )
+from repro.core.estimation import _phase
 from repro.errors import ParameterError
 from repro.signals import make_sparse_signal
+
+
+def _unit_filter(n):
+    """A filter stand-in with ``G_hat == 1`` everywhere, in O(1) memory."""
+    return SimpleNamespace(n=n, freq=np.broadcast_to(np.complex128(1), (n,)))
 
 
 class TestPermutation:
@@ -307,3 +315,34 @@ class TestEstimation:
                 np.array([0]), np.zeros((2, 3), complex),
                 list(plan_small.permutations), plan_small.filt, plan_small.B,
             )
+
+    @pytest.mark.parametrize("log_n", [20, 30])
+    def test_phase_matches_exactly_reduced_exponent(self, log_n):
+        # A float tau*f/n, reduced only inside exp, misses this by 8.9e-10
+        # at n=2^20 and 5.2e-7 at n=2^30.
+        n = 1 << log_n
+        rng = np.random.default_rng(log_n)
+        freqs = rng.integers(n // 2, n, 4096)
+        taus = rng.integers(n // 2, n, 8)
+        exact = np.exp(-2j * np.pi * ((freqs[:, None] * taus) % n) / n)
+        assert np.abs(_phase(freqs, taus, n) - exact).max() < 4e-15
+
+    @pytest.mark.parametrize("log_n", [20, 30])
+    def test_loop_estimates_phase_is_exact(self, log_n):
+        # With unit buckets and a unit filter each estimate is n * phase.
+        n, B, L = 1 << log_n, 1024, 8
+        rng = np.random.default_rng(log_n)
+        perms = [random_permutation(n, rng) for _ in range(L)]
+        freqs = rng.integers(n // 2, n, 4096)
+        taus = np.array([p.tau for p in perms], dtype=np.int64)
+        est = loop_estimates(freqs, np.ones((L, B), complex), perms,
+                             _unit_filter(n), B)
+        exact = np.exp(-2j * np.pi * ((freqs[:, None] * taus) % n) / n)
+        assert np.abs(est / n - exact).max() < 4e-15
+
+    def test_n_above_2_31_rejected(self):
+        n, B = 1 << 32, 1024
+        perm = random_permutation(n, np.random.default_rng(0))
+        with pytest.raises(ParameterError, match="2\\^31"):
+            loop_estimates(np.array([n - 1]), np.ones((1, B), complex),
+                           [perm], _unit_filter(n), B)
