@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from conftest import BENCH_JSONL, shared_plan
-from repro.core import ShardedExecutor, sfft_batch_fused
+from repro.core import ShardedExecutor, sfft_batch
 from repro.obs import make_run_record, write_jsonl
 from repro.signals import make_sparse_signal
 
@@ -84,7 +84,7 @@ def test_executor_4_workers(benchmark, stack, fixed_plan, mode):
 
 def test_worker_scaling_recorded(stack, fixed_plan):
     """Time 1/2/4/8 workers in both modes; check identity; record both."""
-    serial = sfft_batch_fused(stack, fixed_plan)  # also warms the workspace
+    serial = sfft_batch(stack, plan=fixed_plan)  # also warms the workspace
     cpus = _cpus_visible()
 
     speedups: dict[str, float] = {}

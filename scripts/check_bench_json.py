@@ -18,7 +18,6 @@ With no paths, scans the repository root for ``BENCH_*.json`` files and
   ``TelemetryFlusher`` / ``python -m repro export --telemetry``); lines
   declaring ``"repro.attrib/1"`` are validated as regression-attribution
   records (``repro.obs.validate_attrib_record``, the output of
-  ``python -m repro why --json`` / ``bench_gate.py --attrib``); all
   ``python -m repro why --json`` / ``bench_gate.py --attrib``); lines
   declaring ``"repro.wisdom/1"`` are validated as auto-tuner wisdom
   entries (``repro.tune.validate_wisdom_record``, the output of
@@ -34,7 +33,9 @@ With no paths, scans the repository root for ``BENCH_*.json`` files and
 * ``WISDOM.json`` (the committed auto-tuner store) is JSONL despite its
   extension and is validated line-by-line like any other wisdom stream;
 * ``LINT_BASELINE.json`` (the static-analysis gate's artifact) must be a
-  valid ``repro.lintbase/1`` fingerprint snapshot;
+  valid ``repro.lintbase/1`` fingerprint snapshot
+  (``repro.analysis.staticcheck.validate_lint_baseline``, the check
+  ``scripts/lint_gate.py`` applies when it reads the baseline);
 * ``BENCH_*.json`` declaring ``"schema": "repro.baseline/1"`` or
   ``"repro.trajectory/1"`` (the regression-gate artifacts
   ``BENCH_BASELINE.json`` / ``BENCH_TRAJECTORY.json``) are validated with
@@ -60,6 +61,7 @@ sys.path.insert(0, os.path.join(_ROOT, "src"))
 
 from repro.analysis.staticcheck import (  # noqa: E402
     LINT_SCHEMA,
+    validate_lint_baseline,
     validate_lint_record,
 )
 from repro.obs import (  # noqa: E402
@@ -78,7 +80,6 @@ from repro.tune import (  # noqa: E402
     validate_wisdom_record,
 )
 
-LINT_BASELINE_SCHEMA = "repro.lintbase/1"
 
 
 def check_executor_record(record: dict) -> list[str]:
@@ -187,25 +188,7 @@ def check_lint_baseline(path: str) -> list[str]:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         return [f"{path}: not JSON ({exc})"]
-    if not isinstance(doc, dict):
-        return [f"{path}: baseline must be a JSON object"]
-    problems: list[str] = []
-    if doc.get("schema") != LINT_BASELINE_SCHEMA:
-        problems.append(
-            f"{path}: schema must be {LINT_BASELINE_SCHEMA!r}, "
-            f"got {doc.get('schema')!r}"
-        )
-    fps = doc.get("fingerprints")
-    if not isinstance(fps, list):
-        problems.append(f"{path}: fingerprints must be an array")
-    else:
-        for i, fp in enumerate(fps):
-            if not isinstance(fp, str) or fp.count("::") < 2:
-                problems.append(
-                    f"{path}: fingerprints[{i}] must be a "
-                    "'rule::path::message' string"
-                )
-    return problems
+    return [f"{path}: {p}" for p in validate_lint_baseline(doc)]
 
 
 def check_bench_json(path: str) -> list[str]:

@@ -44,10 +44,12 @@ _HERE = os.path.dirname(os.path.abspath(__file__))
 _ROOT = os.path.dirname(_HERE)
 sys.path.insert(0, os.path.join(_ROOT, "src"))
 
-from repro.analysis.staticcheck import collect_findings  # noqa: E402
+from repro.analysis.staticcheck import (  # noqa: E402
+    LINT_BASELINE_SCHEMA,
+    collect_findings,
+    validate_lint_baseline,
+)
 from repro.errors import ParameterError  # noqa: E402
-
-BASELINE_SCHEMA = "repro.lintbase/1"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,27 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="skip the kernel race-detector battery")
     parser.add_argument("--json", action="store_true", dest="as_json")
     return parser
-
-
-def validate_lint_baseline(doc) -> list[str]:
-    """Problems in a ``repro.lintbase/1`` document; empty means valid."""
-    if not isinstance(doc, dict):
-        return [f"baseline must be a JSON object, got {type(doc).__name__}"]
-    problems: list[str] = []
-    if doc.get("schema") != BASELINE_SCHEMA:
-        problems.append(
-            f"schema must be {BASELINE_SCHEMA!r}, got {doc.get('schema')!r}"
-        )
-    fps = doc.get("fingerprints")
-    if not isinstance(fps, list):
-        problems.append("fingerprints must be an array")
-    else:
-        for i, fp in enumerate(fps):
-            if not isinstance(fp, str) or fp.count("::") < 2:
-                problems.append(
-                    f"fingerprints[{i}] must be a 'rule::path::message' string"
-                )
-    return problems
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -104,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     recording = args.record or not os.path.exists(args.baseline)
     if recording:
         baseline = {
-            "schema": BASELINE_SCHEMA,
+            "schema": LINT_BASELINE_SCHEMA,
             "fingerprints": sorted(fresh),
         }
         with open(args.baseline, "w", encoding="utf-8") as fh:

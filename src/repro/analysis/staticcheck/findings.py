@@ -5,7 +5,8 @@ Both engines — the kernel access checker and the AST linter — emit
 ``repro.lint/1`` JSON document per finding (JSONL, mirroring the
 ``repro.run/1`` run records), and :func:`validate_lint_record` is the
 shared schema check ``scripts/check_bench_json.py`` applies so the writer
-and CI cannot drift.
+and CI cannot drift.  :func:`validate_lint_baseline` does the same for the
+``repro.lintbase/1`` fingerprint snapshot the lint gate compares against.
 
 Suppression syntax, checked per physical line of the offending statement::
 
@@ -22,11 +23,15 @@ from dataclasses import dataclass
 
 from ...errors import ParameterError
 
-__all__ = ["LINT_SCHEMA", "SEVERITIES", "Finding", "Suppressions",
-           "validate_lint_record"]
+__all__ = ["LINT_SCHEMA", "LINT_BASELINE_SCHEMA", "SEVERITIES", "Finding",
+           "Suppressions", "validate_lint_record", "validate_lint_baseline"]
 
 #: Schema tag on every serialized finding.
 LINT_SCHEMA = "repro.lint/1"
+
+#: Schema tag of the lint gate's fingerprint snapshot
+#: (``LINT_BASELINE.json``).
+LINT_BASELINE_SCHEMA = "repro.lintbase/1"
 
 #: Allowed severities, in increasing order of consequence: ``warning``
 #: findings are reported but never fail the lint; ``error`` findings exit
@@ -155,4 +160,27 @@ def validate_lint_record(record: object) -> list[str]:
     if record.get("engine") not in ("ast", "race", "shape"):
         problems.append(f"engine must be 'ast', 'race', or 'shape', "
                         f"got {record.get('engine')!r}")
+    return problems
+
+
+def validate_lint_baseline(doc: object) -> list[str]:
+    """Problems in a ``repro.lintbase/1`` document; empty means valid.
+
+    Shared by ``scripts/lint_gate.py`` (which reads the baseline) and
+    ``scripts/check_bench_json.py`` (which validates it in CI).
+    """
+    if not isinstance(doc, dict):
+        return [f"baseline must be a JSON object, got {type(doc).__name__}"]
+    problems: list[str] = []
+    if doc.get("schema") != LINT_BASELINE_SCHEMA:
+        problems.append(f"schema must be {LINT_BASELINE_SCHEMA!r}, "
+                        f"got {doc.get('schema')!r}")
+    fps = doc.get("fingerprints")
+    if not isinstance(fps, list):
+        problems.append("fingerprints must be an array")
+    else:
+        for i, fp in enumerate(fps):
+            if not isinstance(fp, str) or fp.count("::") < 2:
+                problems.append(f"fingerprints[{i}] must be a "
+                                "'rule::path::message' string")
     return problems

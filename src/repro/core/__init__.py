@@ -1,6 +1,6 @@
 """The sparse FFT core: parameters, plans, and the six-step pipeline."""
 
-from .batch import run_stack_pipeline, sfft_batch_fused
+from .batch import run_stack_pipeline
 from .binning import bin_loop_partition, bin_serial, bin_vectorized
 from .executor import EXECUTOR_MODES, ShardedExecutor
 from .fft_backend import (
@@ -30,8 +30,6 @@ from .estimation import (
 from .exact import ExactSfftStats, sfft_exact
 from .parameters import PROFILES, SfftParameters, derive_parameters
 from .params import (
-    ENV_B,
-    ENV_LOOPS,
     ENV_WISDOM,
     RESOLUTION_SOURCES,
     ResolvedConfig,
@@ -81,8 +79,6 @@ __all__ = [
     "PROFILES",
     "SfftParameters",
     "derive_parameters",
-    "ENV_B",
-    "ENV_LOOPS",
     "ENV_WISDOM",
     "RESOLUTION_SOURCES",
     "ResolvedConfig",
@@ -109,7 +105,6 @@ __all__ = [
     "isfft",
     "rsfft",
     "sfft_batch",
-    "sfft_batch_fused",
     "run_stack_pipeline",
     "ShardedExecutor",
     "EXECUTOR_MODES",

@@ -3,7 +3,8 @@
 Every entry point runs the paper's six steps (Section III) through
 :func:`run_stack_pipeline` over an ``(S, n)`` signal stack: the per-call
 driver :func:`~repro.core.sfft.sfft` as a stack of one, the batched
-:func:`sfft_batch_fused` over a whole stack, and the sharded executor
+:func:`~repro.core.variants.sfft_batch` over a whole stack (both through
+the serial run path :func:`run_serial`), and the sharded executor
 (:mod:`repro.core.executor`) over slices of one.  The stack amortizes
 execution overhead the way the GPU implementation amortizes kernel
 launches:
@@ -46,7 +47,7 @@ from .estimation import estimate_values_stack
 from .plan import SfftPlan
 from .recovery import recover_locations_stack
 
-__all__ = ["sfft_batch_fused", "run_stack_pipeline", "as_signal_stack",
+__all__ = ["run_serial", "run_stack_pipeline", "as_signal_stack",
            "comb_masks_for_stack", "SparseFFTResult", "STEP_NAMES"]
 
 STEP_NAMES = ("perm_filter", "bucket_fft", "cutoff", "recovery", "estimation")
@@ -182,6 +183,11 @@ def comb_masks_for_stack(
     ])
 
 
+def _no_stage(name: str, **attrs):
+    """The ``stage`` hook of an unclocked run."""
+    return nullcontext()
+
+
 @shape_contract("X:(S, n):complex128, plan:* -> *",
                 bind={"n": "plan.n", "B": "plan.params.B",
                       "L": "plan.params.loops",
@@ -201,8 +207,8 @@ def run_stack_pipeline(
 ) -> list[SparseFFTResult]:
     """Drive a validated ``(S, n)`` stack through the six-step pipeline.
 
-    The one engine behind :func:`~repro.core.sfft.sfft` (a stack of one),
-    :func:`sfft_batch_fused` and the sharded executor: ``X`` must
+    The one engine behind :func:`run_serial` (the path of ``sfft`` and
+    ``sfft_batch``) and the sharded executor: ``X`` must
     already be a validated stack (see :func:`as_signal_stack`) and any Comb
     masks must be precomputed (``residue_filters``, one row per signal).
     ``workspace`` is the :class:`~repro.core.workspace.PlanWorkspace` to
@@ -220,9 +226,7 @@ def run_stack_pipeline(
     B, L = params.B, params.loops
     v_loops = params.voting_loops
     ws = plan.workspace() if workspace is None else workspace
-    if stage is None:
-        def stage(name, **attrs):
-            return nullcontext()
+    stage = stage or _no_stage
 
     # Steps 1-2: one fused gather + fold per signal.
     with stage("perm_filter", signals=S, loops=L, B=B):
@@ -288,7 +292,7 @@ def run_stack_pipeline(
 
 
 @shape_contract("X:*, plan:* -> *", bind={"n": "plan.n"})
-def sfft_batch_fused(
+def run_serial(
     X: np.ndarray,
     plan: SfftPlan,
     *,
@@ -300,33 +304,32 @@ def sfft_batch_fused(
     seed: RngLike = None,
     fft_backend: str | None = None,
     fft_workers: int = 1,
+    stage=None,
+    metrics: MetricsRegistry | None = None,
 ) -> list[SparseFFTResult]:
-    """Transform an ``(S, n)`` signal stack under one plan, fully batched.
+    """Transform an ``(S, n)`` signal stack under one plan on this thread.
 
-    Parameters mirror :func:`~repro.core.sfft.sfft`'s execution options
-    (``cutoff_method``, ``comb_width``/``comb_loops``, ``trim_to_k``,
-    ``strict``); ``seed`` only seeds the Comb pre-filter's permutations,
-    exactly as it does in :func:`~repro.core.sfft.sfft`.  ``fft_backend`` /
-    ``fft_workers`` select the bucket-FFT implementation (see
-    :mod:`repro.core.fft_backend`); the default resolves the process-wide
-    backend.  Returns one :class:`SparseFFTResult` per
-    stack row.
+    The one serial run path of :func:`~repro.core.sfft.sfft` and
+    :func:`~repro.core.variants.sfft_batch`: it builds the optional
+    sFFT-2.0 Comb masks (clocked as the ``comb`` stage; ``seed`` only
+    seeds their permutations), binds the plan workspace to
+    ``fft_backend`` / ``fft_workers`` (see :mod:`repro.core.fft_backend`;
+    the default resolves the process-wide backend) and runs
+    :func:`run_stack_pipeline`.  ``stage`` and ``metrics`` pass through to
+    the engine.  Returns one :class:`SparseFFTResult` per stack row.
     """
     X = as_signal_stack(X, plan)
-
-    # Optional sFFT-2.0 Comb screen.
+    stage = stage or _no_stage
     residue_filters = None
     if comb_width is not None:
-        residue_filters = comb_masks_for_stack(
-            X, plan, comb_width, comb_loops, seed
-        )
+        with stage("comb", W=comb_width, loops=comb_loops):
+            residue_filters = comb_masks_for_stack(
+                X, plan, comb_width, comb_loops, seed
+            )
 
-    if fft_backend is None and fft_workers == 1:
-        ws = plan.workspace()
-    else:
-        ws = plan.workspace().clone(
-            fft_backend=fft_backend, fft_workers=fft_workers
-        )
+    ws = plan.workspace()
+    if fft_backend is not None or fft_workers != 1:
+        ws = ws.clone(fft_backend=fft_backend, fft_workers=fft_workers)
     return run_stack_pipeline(
         X, plan,
         workspace=ws,
@@ -334,4 +337,6 @@ def sfft_batch_fused(
         residue_filters=residue_filters,
         trim_to_k=trim_to_k,
         strict=strict,
+        stage=stage,
+        metrics=metrics,
     )

@@ -30,7 +30,7 @@ Two execution modes share one contract:
 Correctness is structural, not approximate: every pipeline stage is
 per-signal independent (the property suite asserts it), so running rows
 ``[lo:hi]`` as a shard is *bit-identical* to the same rows of one
-whole-stack :func:`~repro.core.batch.sfft_batch_fused` pass, for every
+whole-stack serial ``sfft_batch(X, plan=plan)`` pass, for every
 mode, worker count, shard size, and FFT backend.
 
 Concurrency hygiene mirrors the GPU resource model:
@@ -362,9 +362,10 @@ class ShardedExecutor:
     ) -> list[SparseFFTResult]:
         """Transform an ``(S, n)`` stack; results match the serial engine.
 
-        Execution options mirror :func:`~repro.core.batch.sfft_batch_fused`
-        (which also defines the reference output this method is
-        bit-identical to, in both modes).  ``tracer`` receives per-shard
+        Execution options mirror the serial run path
+        :func:`~repro.core.batch.run_serial`, whose output (that of
+        ``sfft_batch(X, plan=plan)``) this method is bit-identical to, in
+        both modes.  ``tracer`` receives per-shard
         stage spans on per-worker tracks; ``metrics`` (default: the global
         registry) receives the ``sfft.executor.*`` family.
 

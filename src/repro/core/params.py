@@ -1,8 +1,9 @@
-"""The single parameter-resolution seam: explicit > wisdom > env > defaults.
+"""The single parameter-resolution seam: explicit > wisdom > defaults.
 
 Every plan-less transform call (``sfft(x, k)``, ``sfft_batch(stack, k)``)
 routes its tuned knobs through :func:`resolve_sfft_config` before touching
-the plan cache.  Precedence, highest first:
+the plan cache, by way of their shared plan-resolution path
+:func:`~repro.core.sfft.resolve_plan`.  Precedence, highest first:
 
 1. **explicit kwargs** — any derivation override (or an explicit
    ``comb_width``) passed by the caller pins the configuration verbatim;
@@ -10,9 +11,7 @@ the plan cache.  Precedence, highest first:
    class (``REPRO_WISDOM`` names the store; see :mod:`repro.tune.wisdom`);
    entries whose plan fingerprint no longer matches current derivation
    code are *stale* and skipped;
-3. **environment** — ``REPRO_SFFT_B`` / ``REPRO_SFFT_LOOPS`` integer
-   pins (the ops-level escape hatch, mirroring ``REPRO_FFT_BACKEND``);
-4. **paper defaults** — :func:`~repro.core.parameters.derive_parameters`
+3. **paper defaults** — :func:`~repro.core.parameters.derive_parameters`
    untouched.
 
 Consumption is observable: when a wisdom store is configured, every
@@ -29,23 +28,17 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..errors import ParameterError
-
 __all__ = [
     "ENV_WISDOM",
-    "ENV_B",
-    "ENV_LOOPS",
     "RESOLUTION_SOURCES",
     "ResolvedConfig",
     "resolve_sfft_config",
 ]
 
 ENV_WISDOM = "REPRO_WISDOM"
-ENV_B = "REPRO_SFFT_B"
-ENV_LOOPS = "REPRO_SFFT_LOOPS"
 
 #: Where a resolved configuration can come from, highest precedence first.
-RESOLUTION_SOURCES = ("explicit", "wisdom", "env", "default")
+RESOLUTION_SOURCES = ("explicit", "wisdom", "default")
 
 
 @dataclass(frozen=True)
@@ -53,18 +46,16 @@ class ResolvedConfig:
     """One resolution verdict: the overrides to apply and their provenance.
 
     ``overrides`` feeds plan derivation (:func:`~repro.core.plan_cache.
-    cached_plan`); the execution fields (``fft_backend``,
-    ``executor_mode``, ``workers``, ``shard_size``) only apply to batch
-    calls, which are the surface that owns those knobs.
+    cached_plan`); the execution fields (``fft_backend``, ``workers``)
+    only apply to batch calls, which are the surface that owns those
+    knobs.
     """
 
     source: str
     overrides: dict[str, Any] = field(default_factory=dict)
     comb_width: int | None = None
     fft_backend: str | None = None
-    executor_mode: str | None = None
     workers: int = 1
-    shard_size: int | None = None
     class_key: str | None = None
 
 
@@ -72,18 +63,6 @@ def _count(name: str) -> None:
     from ..obs import global_registry
 
     global_registry().counter(name).inc()
-
-
-def _env_int(var: str) -> int | None:
-    raw = os.environ.get(var)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParameterError(
-            f"{var} must be an integer, got {raw!r}"
-        ) from None
 
 
 def _from_wisdom(n: int, k: int, *, batch_size: int, noise_class: str,
@@ -113,9 +92,7 @@ def _from_wisdom(n: int, k: int, *, batch_size: int, noise_class: str,
         overrides=wisdom_overrides(record),
         comb_width=config.get("comb_width"),
         fft_backend=config.get("fft_backend"),
-        executor_mode=config.get("executor_mode"),
         workers=int(config.get("workers", 1) or 1),
-        shard_size=config.get("shard_size"),
         class_key=record["class"],
     )
 
@@ -153,14 +130,4 @@ def resolve_sfft_config(
         )
         if resolved is not None:
             return resolved
-
-    env_overrides: dict[str, Any] = {}
-    env_b, env_loops = _env_int(ENV_B), _env_int(ENV_LOOPS)
-    if env_b is not None:
-        env_overrides["B"] = env_b
-    if env_loops is not None:
-        env_overrides["loops"] = env_loops
-    if env_overrides:
-        return ResolvedConfig(source="env", overrides=env_overrides)
-
     return ResolvedConfig(source="default")

@@ -1,9 +1,11 @@
 """The sparse FFT driver — paper Section III end-to-end (CPU reference).
 
 :func:`sfft` is the per-call front end to the pipeline engine
-(:func:`~repro.core.batch.run_stack_pipeline`): it resolves the plan,
-builds the optional Comb mask, and runs the signal as a stack of one
-through the six steps
+(:func:`~repro.core.batch.run_stack_pipeline`): it resolves the plan
+(:func:`resolve_plan`, shared with
+:func:`~repro.core.variants.sfft_batch`) and runs the signal as a stack of
+one through the serial run path (:func:`~repro.core.batch.run_serial`:
+the optional Comb mask, then the six steps)
 
 1-2. permute + filter + fold into buckets  (:mod:`~repro.core.workspace`)
 3.   batched ``B``-point FFT               (:mod:`~repro.core.subsampled`)
@@ -17,8 +19,8 @@ Figure 2 breakdown identifies perm+filter as the dominant cost.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -26,17 +28,49 @@ from ..errors import ParameterError, RecoveryError
 from ..obs import MetricsRegistry, Tracer, global_registry
 from ..utils.rng import RngLike
 from ..utils.validation import as_complex_signal
-from .batch import (
-    STEP_NAMES,
-    SparseFFTResult,
-    comb_masks_for_stack,
-    run_stack_pipeline,
-)
-from .params import resolve_sfft_config
+from .batch import STEP_NAMES, SparseFFTResult, run_serial
+from .params import ResolvedConfig, resolve_sfft_config
 from .plan import SfftPlan
 from .plan_cache import cached_plan
 
 __all__ = ["SparseFFTResult", "sfft", "STEP_NAMES"]
+
+
+def resolve_plan(
+    n: int,
+    k: int | None,
+    plan: SfftPlan | None,
+    *,
+    seed: RngLike = None,
+    overrides: dict | None = None,
+    comb_width: int | None = None,
+    batch_size: int = 1,
+) -> tuple[SfftPlan, ResolvedConfig]:
+    """The one plan-resolution path of :func:`sfft` and
+    :func:`~repro.core.variants.sfft_batch`.
+
+    A given ``plan`` fixes its parameters: it is an explicit pin, and
+    derivation ``overrides`` alongside it raise
+    :class:`~repro.errors.ParameterError`.  Otherwise the knobs resolve
+    through :func:`~repro.core.params.resolve_sfft_config` (explicit >
+    wisdom > paper defaults) and the plan comes from the process-level
+    cache, so repeat calls of one shape pay filter synthesis once.  The
+    verdict's ``comb_width`` is the Comb width to run with.
+    """
+    if plan is not None:
+        if overrides:
+            raise ParameterError(
+                f"plan overrides {sorted(overrides)} apply only to "
+                f"plan-less calls; the given plan fixes its parameters"
+            )
+        return plan, ResolvedConfig(source="explicit", comb_width=comb_width)
+    if k is None:
+        raise ParameterError("either k or a plan must be provided")
+    resolved = resolve_sfft_config(
+        n, k, batch_size=batch_size, explicit=overrides,
+        comb_width=comb_width,
+    )
+    return cached_plan(n, k, seed=seed, **resolved.overrides), resolved
 
 
 def sfft(
@@ -102,52 +136,26 @@ def sfft(
     -------
     SparseFFTResult
     """
-    if plan is None:
-        if k is None:
-            raise ParameterError("either k or a plan must be provided")
-        x = as_complex_signal(x)
-        # The resolution seam: explicit overrides win verbatim; otherwise
-        # a configured wisdom store, then env pins, then paper defaults
-        # (see repro.core.params).
-        resolved = resolve_sfft_config(
-            x.size, k, explicit=plan_overrides, comb_width=comb_width,
-        )
-        if comb_width is None:
-            comb_width = resolved.comb_width
-        plan = cached_plan(x.size, k, seed=seed, **resolved.overrides)
-    else:
-        if plan_overrides:
-            raise ParameterError(
-                f"plan overrides {sorted(plan_overrides)} apply only to "
-                f"plan-less calls; the given plan fixes its parameters"
-            )
-        x = as_complex_signal(x, plan.n)
-    params = plan.params
-    X = x[None]
+    x = as_complex_signal(x, None if plan is None else plan.n)
+    plan, resolved = resolve_plan(
+        x.size, k, plan, seed=seed, overrides=plan_overrides,
+        comb_width=comb_width,
+    )
 
-    registry = None
+    stage = registry = None
     if tracer is not None:
         span_start = len(tracer.spans)
         registry = metrics if metrics is not None else global_registry()
+        stage = partial(tracer.span, category="sfft")
 
-    def stage(name: str, **attrs):
-        if tracer is None:
-            return nullcontext()
-        return tracer.span(name, category="sfft", **attrs)
-
-    # Optional sFFT-2.0 Comb screen — timed as its own step so Figure-2
-    # style breakdowns account for every stage that ran.
-    masks = None
-    if comb_width is not None:
-        with stage("comb", W=comb_width, loops=comb_loops):
-            masks = comb_masks_for_stack(X, plan, comb_width, comb_loops, seed)
-
-    (result,) = run_stack_pipeline(
-        X, plan,
+    (result,) = run_serial(
+        x[None], plan,
         cutoff_method=cutoff_method,
-        residue_filters=masks,
+        comb_width=resolved.comb_width,
+        comb_loops=comb_loops,
         trim_to_k=trim_to_k,
         strict=strict,
+        seed=seed,
         stage=stage,
         metrics=registry,
     )
@@ -167,7 +175,8 @@ def sfft(
         # Verification deliberately uses the numpy oracle, not the
         # configured backend, so verify-mode checks the backend too.
         dense = np.fft.fft(x)  # reprolint: ignore[fft-registry-bypass]
-        top = np.argpartition(np.abs(dense), -params.k)[-params.k :]
+        k = plan.params.k
+        top = np.argpartition(np.abs(dense), -k)[-k:]
         want = set(int(f) for f in top)
         got = set(int(f) for f in result.locations)
         if got != want:

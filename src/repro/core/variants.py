@@ -20,11 +20,10 @@ import numpy as np
 from ..errors import ParameterError
 from ..utils.rng import RngLike
 from ..utils.validation import as_complex_signal
-from .batch import sfft_batch_fused
-from .params import resolve_sfft_config
+from .batch import run_serial
+from .executor import ShardedExecutor
 from .plan import SfftPlan
-from .plan_cache import cached_plan
-from .sfft import SparseFFTResult, sfft
+from .sfft import SparseFFTResult, resolve_plan, sfft
 
 __all__ = ["isfft", "rsfft", "sfft_batch"]
 
@@ -115,9 +114,12 @@ def sfft_batch(
     shorthand inherits the executor's default mode — ``thread``, or
     whatever ``REPRO_EXECUTOR_MODE`` says; construct the executor
     explicitly for ``mode="process"``, the shared-memory process pool).
-    Sharded results are bit-identical to the serial fused engine in every
-    mode.  ``fft_backend`` / ``fft_workers`` keyword arguments select the
-    bucket-FFT implementation (:mod:`repro.core.fft_backend`).
+    Sharded results are bit-identical to the serial run in every mode.
+    ``fft_backend`` / ``fft_workers`` keyword arguments select the
+    bucket-FFT implementation (:mod:`repro.core.fft_backend`).  A wisdom
+    hit (:mod:`repro.core.params`) may also supply those and a
+    thread-mode executor width, unless the caller passed any of
+    ``executor``, ``fft_backend`` or ``fft_workers``.
     """
     if isinstance(signals, np.ndarray):
         # Rows of a contiguous stack validate without copying; the fused
@@ -138,65 +140,41 @@ def sfft_batch(
     plan_kwargs = {
         key: val for key, val in kwargs.items() if key not in _EXEC_KEYS
     }
-    if plan is not None and plan_kwargs:
-        raise ParameterError(
-            f"plan overrides {sorted(plan_kwargs)} apply only to plan-less "
-            f"calls; the given plan fixes its parameters"
-        )
-    if plan is None:
-        if k is None:
-            raise ParameterError("either k or a plan must be provided")
-        # The resolution seam (repro.core.params): a wisdom hit supplies
-        # B/loops/comb for the plan plus — because the batch surface owns
-        # them — the execution knobs (backend, executor mode, workers,
-        # shard size), never overriding anything the caller pinned.
-        resolved = resolve_sfft_config(
-            n, k, batch_size=len(rows), explicit=plan_kwargs,
-            comb_width=kwargs.get("comb_width"),
-        )
-        plan = cached_plan(n, k, seed=seed, **resolved.overrides)
-        if resolved.source == "wisdom":
-            if kwargs.get("comb_width") is None \
-                    and resolved.comb_width is not None:
-                kwargs["comb_width"] = resolved.comb_width
-            explicit_exec = (
-                executor is not None
-                or kwargs.get("fft_backend") is not None
-                or kwargs.get("fft_workers") is not None
-            )
-            if not explicit_exec:
-                if resolved.executor_mode is not None or resolved.workers > 1:
-                    from .executor import ShardedExecutor
-
-                    executor = ShardedExecutor(
-                        workers=resolved.workers,
-                        shard_size=resolved.shard_size,
-                        fft_backend=resolved.fft_backend,
-                        mode=resolved.executor_mode,
-                    )
-                elif resolved.fft_backend is not None:
-                    kwargs["fft_backend"] = resolved.fft_backend
     exec_kwargs = {
         key: val for key, val in kwargs.items() if key in _EXEC_KEYS
     }
-    X = stack if stack is not None else np.stack(rows)
-    if executor is not None:
-        from .executor import ShardedExecutor
-
-        if isinstance(executor, int):
-            executor = ShardedExecutor(workers=executor)
-        if not isinstance(executor, ShardedExecutor):
-            raise ParameterError(
-                f"executor must be a ShardedExecutor or an int worker "
-                f"count, got {type(executor).__name__}"
+    plan, resolved = resolve_plan(
+        n, k, plan, seed=seed, overrides=plan_kwargs,
+        comb_width=exec_kwargs.get("comb_width"), batch_size=len(rows),
+    )
+    exec_kwargs["comb_width"] = resolved.comb_width
+    if isinstance(executor, int):
+        executor = ShardedExecutor(workers=executor)
+    if executor is None and "fft_backend" not in exec_kwargs \
+            and "fft_workers" not in exec_kwargs:
+        # A wisdom hit also supplies the execution knobs this surface
+        # owns, unless the caller pinned any of them.
+        if resolved.workers > 1:
+            executor = ShardedExecutor(
+                workers=resolved.workers, fft_backend=resolved.fft_backend,
+                mode="thread",
             )
-        # The executor owns its FFT-backend binding; per-call
-        # fft_backend/fft_workers would silently fight it.
-        for key in ("fft_backend", "fft_workers"):
-            if key in exec_kwargs:
-                raise ParameterError(
-                    f"pass {key} to the ShardedExecutor, not alongside "
-                    f"executor="
-                )
-        return executor.run(X, plan, seed=seed, **exec_kwargs)
-    return sfft_batch_fused(X, plan, seed=seed, **exec_kwargs)
+        else:
+            exec_kwargs["fft_backend"] = resolved.fft_backend
+    X = stack if stack is not None else np.stack(rows)
+    if executor is None:
+        return run_serial(X, plan, seed=seed, **exec_kwargs)
+    if not isinstance(executor, ShardedExecutor):
+        raise ParameterError(
+            f"executor must be a ShardedExecutor or an int worker "
+            f"count, got {type(executor).__name__}"
+        )
+    # The executor owns its FFT-backend binding; per-call
+    # fft_backend/fft_workers would silently fight it.
+    for key in ("fft_backend", "fft_workers"):
+        if key in exec_kwargs:
+            raise ParameterError(
+                f"pass {key} to the ShardedExecutor, not alongside "
+                f"executor="
+            )
+    return executor.run(X, plan, seed=seed, **exec_kwargs)

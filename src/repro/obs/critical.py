@@ -38,9 +38,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from ..errors import ParameterError
+from .trace import as_span
 
 __all__ = [
     "IDLE_STAGE",
@@ -161,22 +162,6 @@ class CriticalPath:
         return what_if_speedup(share, factor)
 
 
-def _span_fields(sp: Any) -> tuple[str, str, float, float, int, dict[str, Any]]:
-    """``(track, name, start, duration, depth, attrs)`` from Span or dict."""
-    if isinstance(sp, Mapping):
-        attrs = sp.get("attrs")
-        return (
-            str(sp.get("track", "cpu")),
-            str(sp.get("name", "?")),
-            float(sp.get("start_s", 0.0)),
-            float(sp.get("duration_s", 0.0)),
-            int(sp.get("depth", 0)),
-            dict(attrs) if isinstance(attrs, Mapping) else {},
-        )
-    return (sp.track, sp.name, sp.start_s, sp.duration_s, sp.depth,
-            dict(sp.attrs))
-
-
 def critical_path(spans: Iterable[Any]) -> CriticalPath:
     """Compute the critical path of a set of spans (all tracks at once).
 
@@ -190,13 +175,13 @@ def critical_path(spans: Iterable[Any]) -> CriticalPath:
     items: list[tuple[float, float, str, str, int]] = []
     queue_wait = 0.0
     for sp in spans:
-        track, name, start, dur, depth, attrs = _span_fields(sp)
-        wait = attrs.get("queue_wait_s")
+        sp = as_span(sp)
+        wait = sp.attrs.get("queue_wait_s")
         if isinstance(wait, (int, float)) and not isinstance(wait, bool):
             queue_wait += float(wait)
-        if dur <= 0:
+        if sp.duration_s <= 0:
             continue
-        items.append((start, start + dur, name, track, depth))
+        items.append((sp.start_s, sp.end_s, sp.name, sp.track, sp.depth))
     if not items:
         return CriticalPath(segments=(), start_s=0.0, end_s=0.0,
                             queue_wait_s=queue_wait)

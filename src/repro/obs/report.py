@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping, Sequence
 
+from .trace import as_span
+
 __all__ = [
     "self_time_rows",
     "collapsed_stacks",
@@ -39,19 +41,6 @@ _EPS = 1e-12
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
 
-def _span_tuple(sp: Any) -> tuple[str, str, str, float, float]:
-    """``(track, name, category, start, duration)`` from Span or dict."""
-    if isinstance(sp, Mapping):
-        return (
-            str(sp.get("track", "cpu")),
-            str(sp.get("name", "?")),
-            str(sp.get("category", "step")),
-            float(sp.get("start_s", 0.0)),
-            float(sp.get("duration_s", 0.0)),
-        )
-    return (sp.track, sp.name, sp.category, sp.start_s, sp.duration_s)
-
-
 def _nest(spans: Iterable[Any]) -> list[dict]:
     """Annotate spans with their enclosing stack, per track.
 
@@ -62,8 +51,10 @@ def _nest(spans: Iterable[Any]) -> list[dict]:
     """
     by_track: dict[str, list[tuple]] = {}
     for sp in spans:
-        track, name, cat, start, dur = _span_tuple(sp)
-        by_track.setdefault(track, []).append((start, -dur, name, cat, dur))
+        sp = as_span(sp)
+        by_track.setdefault(sp.track, []).append(
+            (sp.start_s, -sp.duration_s, sp.name, sp.category, sp.duration_s)
+        )
     out: list[dict] = []
     for track, items in by_track.items():
         items.sort(key=lambda t: (t[0], t[1]))

@@ -24,11 +24,11 @@ import threading
 import time as _time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Mapping
 
 from ..errors import ParameterError
 
-__all__ = ["Span", "Tracer", "CPU_TRACK", "monotonic"]
+__all__ = ["Span", "Tracer", "CPU_TRACK", "monotonic", "as_span"]
 
 #: Track label for live (host-clocked) spans.
 CPU_TRACK = "cpu"
@@ -67,6 +67,28 @@ class Span:
     def end_s(self) -> float:
         """Interval end, in the span's own timebase."""
         return self.start_s + self.duration_s
+
+
+def as_span(sp: Span | Mapping[str, Any]) -> Span:
+    """The :class:`Span` a live span or a ``repro.run/1`` trace dict holds.
+
+    The one field reader of the span consumers (self-time report,
+    critical path): a dict's missing fields take the :class:`Span`
+    defaults, with ``"?"`` for a missing name and ``"step"`` for a
+    missing category.
+    """
+    if isinstance(sp, Span):
+        return sp
+    attrs = sp.get("attrs")
+    return Span(
+        name=str(sp.get("name", "?")),
+        category=str(sp.get("category", "step")),
+        start_s=float(sp.get("start_s", 0.0)),
+        duration_s=float(sp.get("duration_s", 0.0)),
+        track=str(sp.get("track", CPU_TRACK)),
+        depth=int(sp.get("depth", 0)),
+        attrs=dict(attrs) if isinstance(attrs, Mapping) else {},
+    )
 
 
 class Tracer:

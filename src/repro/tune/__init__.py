@@ -5,7 +5,7 @@ itself* per workload class and the core transparently picks the winners.
 
 * :mod:`~repro.tune.candidates` — the search space: workload classes
   keyed ``(n, k, noise_class, batch_size)`` and the candidate grid over
-  ``(B_scale, loops, comb, backend, executor mode, workers, shard size)``;
+  ``(B_scale, loops, comb, backend, workers)``;
 * :mod:`~repro.tune.tuner` — repeated-trial measurement with the
   regression gate's IQR margin: winners must be statistically real;
 * :mod:`~repro.tune.wisdom` — the versioned ``repro.wisdom/1`` JSONL
@@ -13,7 +13,7 @@ itself* per workload class and the core transparently picks the winners.
 * :mod:`~repro.tune.cli` — ``python -m repro tune``.
 
 Consumption lives in :mod:`repro.core.params` (the resolution seam):
-explicit kwargs > wisdom store (``$REPRO_WISDOM``) > env > paper defaults.
+explicit kwargs > wisdom store (``$REPRO_WISDOM``) > paper defaults.
 
 Note the existing :mod:`repro.tuning` is the *modeled* (analytic) tuner;
 this package is its measured counterpart, the FFTW-wisdom analogue.

@@ -7,9 +7,9 @@ point plus the execution knobs later PRs added:
   two only, so every candidate ``B`` still divides ``n``);
 * ``loops`` — the location/estimation loop count ``L``;
 * ``comb_width`` — the sFFT-2.0 Comb pre-filter, on (a width) or off;
-* ``fft_backend`` / ``executor_mode`` / ``workers`` / ``shard_size`` —
-  the bucket-FFT vendor and the sharded-executor geometry (batch classes
-  only; a single transform has no stack to shard).
+* ``fft_backend`` / ``workers`` — the bucket-FFT vendor and the width
+  of a thread-mode sharded executor (batch classes only; a single
+  transform has no stack to shard).
 
 The grid is an *axis sweep* around the derived default (FFTW's "patience"
 economics, not a full cross product): each axis varies alone, plus the one
@@ -73,9 +73,7 @@ class Candidate:
     loops: int | None = None
     comb_width: int | None = None
     fft_backend: str | None = None
-    executor_mode: str | None = None
     workers: int = 1
-    shard_size: int | None = None
 
     @property
     def is_default(self) -> bool:
@@ -106,9 +104,7 @@ class Candidate:
             "loops": self.loops,
             "comb_width": self.comb_width,
             "fft_backend": self.fft_backend,
-            "executor_mode": self.executor_mode,
             "workers": int(self.workers),
-            "shard_size": self.shard_size,
         }
 
     def label(self) -> str:
@@ -124,10 +120,8 @@ class Candidate:
             parts.append(f"comb={self.comb_width}")
         if self.fft_backend is not None:
             parts.append(self.fft_backend)
-        if self.executor_mode is not None or self.workers > 1:
-            parts.append(f"{self.executor_mode or 'thread'}x{self.workers}")
-        if self.shard_size is not None:
-            parts.append(f"shard={self.shard_size}")
+        if self.workers > 1:
+            parts.append(f"threadx{self.workers}")
         return "+".join(parts) or "default"
 
 
@@ -173,13 +167,9 @@ def generate_candidates(
             if name != default_backend:
                 cands.append(Candidate(fft_backend=name))
         for workers in (2,):
-            cands.append(
-                Candidate(executor_mode="thread", workers=workers)
-            )
+            cands.append(Candidate(workers=workers))
             if default_loops != 6:
-                cands.append(Candidate(
-                    loops=6, executor_mode="thread", workers=workers
-                ))
+                cands.append(Candidate(loops=6, workers=workers))
 
     # De-duplicate while preserving order (axis sweeps can coincide).
     seen: set[Candidate] = set()

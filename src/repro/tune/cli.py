@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro tune",
         description="Measured auto-tuner: search candidate (B, L, Comb, "
-                    "backend, executor) configurations per workload class "
+                    "backend, workers) configurations per workload class "
                     "and persist statistically real winners as wisdom.",
     )
     parser.add_argument("--class", dest="classes", action="append",

@@ -146,12 +146,12 @@ def _build_runner(
     stack = np.stack(xs)
     executor = None
     kwargs: dict[str, Any] = {}
-    if cand.executor_mode is not None or cand.workers > 1:
+    if cand.workers > 1:
         from ..core.executor import ShardedExecutor
 
         executor = ShardedExecutor(
-            workers=cand.workers, shard_size=cand.shard_size,
-            fft_backend=cand.fft_backend, mode=cand.executor_mode,
+            workers=cand.workers, fft_backend=cand.fft_backend,
+            mode="thread",
         )
     elif cand.fft_backend is not None:
         kwargs["fft_backend"] = cand.fft_backend

@@ -2,7 +2,7 @@
 
 FFTW calls its measured plans *wisdom*; this module is the sFFT analogue.
 A wisdom record says: "for workload class ``n=16384|k=8|noise=exact|batch=1``,
-the measured winner is this ``(B, L, Comb, backend, executor)`` tuple" — and
+the measured winner is this ``(B, L, Comb, backend, workers)`` tuple" — and
 carries enough provenance (trial statistics, a plan fingerprint, a
 per-class version) that consumers can tell a fresh entry from a stale one.
 
@@ -62,10 +62,8 @@ _REQUIRED_KEYS = ("schema", "version", "class", "config", "resolved",
 
 #: The searchable configuration axes (see ``repro.tune.candidates``).
 _CONFIG_KEYS = frozenset({
-    "B_scale", "loops", "comb_width", "fft_backend", "executor_mode",
-    "workers", "shard_size",
+    "B_scale", "loops", "comb_width", "fft_backend", "workers",
 })
-_EXECUTOR_MODES = ("thread", "process")
 
 
 def class_key(n: int, k: int, noise_class: str = "exact",
@@ -123,18 +121,13 @@ def _check_config(config: Any, problems: list[str]) -> None:
     if not (isinstance(scale, (int, float)) and not isinstance(scale, bool)
             and scale > 0):
         problems.append("config.B_scale must be a positive number")
-    for key in ("loops", "comb_width", "shard_size"):
+    for key in ("loops", "comb_width"):
         val = config.get(key)
         if val is not None and not (_is_int(val) and val >= 1):
             problems.append(f"config.{key} must be null or an int >= 1")
     backend = config.get("fft_backend")
     if backend is not None and not isinstance(backend, str):
         problems.append("config.fft_backend must be null or a string")
-    mode = config.get("executor_mode")
-    if mode is not None and mode not in _EXECUTOR_MODES:
-        problems.append(
-            f"config.executor_mode must be null or one of {_EXECUTOR_MODES}"
-        )
     workers = config.get("workers", 1)
     if not (_is_int(workers) and workers >= 1):
         problems.append("config.workers must be an int >= 1")

@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ShardedExecutor, sfft, sfft_batch_fused
+from repro.core import ShardedExecutor, sfft, sfft_batch
 from repro.core.fft_backend import available_backends
 from repro.signals import make_sparse_signal
 from tests.conftest import cached_plan
@@ -49,7 +49,7 @@ def test_executor_bit_identical_to_fused(
     n = 1 << logn
     plan = cached_plan(n, k)
     X = _stack(n, k, S, seed)
-    serial = sfft_batch_fused(X, plan)
+    serial = sfft_batch(X, plan=plan)
     ex = ShardedExecutor(
         workers=workers,
         shard_size=_shard_size(shard_choice, S),
@@ -114,7 +114,7 @@ def test_executor_bit_identical_with_comb(S, seed, workers, mode):
     plan = cached_plan(n, k)
     X = _stack(n, k, S, seed)
     kwargs = dict(comb_width=n >> 4, seed=seed)
-    serial = sfft_batch_fused(X, plan, **kwargs)
+    serial = sfft_batch(X, plan=plan, **kwargs)
     sharded = ShardedExecutor(workers=workers, shard_size=1, mode=mode).run(
         X, plan, **kwargs
     )

@@ -30,8 +30,7 @@ from repro.tune import (
 
 @pytest.fixture(autouse=True)
 def clean_resolution_env(monkeypatch):
-    for var in ("REPRO_WISDOM", "REPRO_SFFT_B", "REPRO_SFFT_LOOPS"):
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv("REPRO_WISDOM", raising=False)
     clear_wisdom_cache()
     yield
     clear_wisdom_cache()

@@ -10,7 +10,7 @@ integration surface.
 import numpy as np
 import pytest
 
-from repro.core import ShardedExecutor, sfft_batch, sfft_batch_fused
+from repro.core import ShardedExecutor, sfft_batch
 from repro.core.executor import EXECUTOR_TRACK
 from repro.errors import ParameterError, RecoveryError
 from repro.obs import MetricsRegistry, Tracer
@@ -44,7 +44,7 @@ def _assert_identical(got, want):
 
 
 def test_bit_identical_to_serial_fused(stack, plan):
-    serial = sfft_batch_fused(stack, plan)
+    serial = sfft_batch(stack, plan=plan)
     for workers, shard_size in [(1, None), (2, 3), (4, 1), (2, _S)]:
         ex = ShardedExecutor(workers=workers, shard_size=shard_size)
         _assert_identical(ex.run(stack, plan), serial)
@@ -52,7 +52,7 @@ def test_bit_identical_to_serial_fused(stack, plan):
 
 def test_bit_identical_with_comb_masks(stack, plan):
     kwargs = dict(comb_width=_N >> 4, seed=9)
-    serial = sfft_batch_fused(stack, plan, **kwargs)
+    serial = sfft_batch(stack, plan=plan, **kwargs)
     got = ShardedExecutor(workers=2, shard_size=2).run(
         stack, plan, **kwargs
     )
@@ -207,10 +207,10 @@ def test_sfft_batch_rejects_bad_executor(stack, plan):
 
 def test_executor_reusable_across_runs(stack, plan):
     ex = ShardedExecutor(workers=2)
-    serial = sfft_batch_fused(stack, plan)
+    serial = sfft_batch(stack, plan=plan)
     _assert_identical(ex.run(stack, plan), serial)
     _assert_identical(ex.run(stack, plan), serial)
     other = np.stack([
         make_sparse_signal(_N, _K, seed=90 + t).time for t in range(3)
     ])
-    _assert_identical(ex.run(other, plan), sfft_batch_fused(other, plan))
+    _assert_identical(ex.run(other, plan), sfft_batch(other, plan=plan))

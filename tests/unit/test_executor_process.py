@@ -16,7 +16,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import ShardedExecutor, sfft_batch_fused
+from repro.core import ShardedExecutor, sfft_batch
 from repro.core.executor import EXECUTOR_TRACK, MODE_ENV
 from repro.errors import ExecutorError, ParameterError, RecoveryError
 from repro.obs import MetricsRegistry, Tracer
@@ -87,7 +87,7 @@ class TestProcessTelemetry:
         registry = MetricsRegistry()
         ex = ShardedExecutor(workers=2, shard_size=2, mode="process")
         out = ex.run(stack, plan, tracer=tracer, metrics=registry)
-        _assert_identical(out, sfft_batch_fused(stack, plan))
+        _assert_identical(out, sfft_batch(stack, plan=plan))
 
         spans = tracer.spans
         root = [s for s in spans if s.name == "executor.run"]
@@ -123,7 +123,7 @@ class TestProcessTelemetry:
         ex = ShardedExecutor(workers=2, shard_size=3, mode="process")
         _assert_identical(
             ex.run(stack, plan, trim_to_k=False),
-            sfft_batch_fused(stack, plan, trim_to_k=False),
+            sfft_batch(stack, plan=plan, trim_to_k=False),
         )
 
     def test_strict_error_names_global_signal_index(self):
@@ -160,7 +160,7 @@ class TestWorkerCrash:
             ex.run(stack, plan)
         monkeypatch.delenv("REPRO_EXECUTOR_KILL_SHARD")
         # The broken pool was discarded; a fresh one serves the next run.
-        _assert_identical(ex.run(stack, plan), sfft_batch_fused(stack, plan))
+        _assert_identical(ex.run(stack, plan), sfft_batch(stack, plan=plan))
 
     def test_poisoned_cached_pool_is_replaced_transparently(self, stack,
                                                             plan):
@@ -185,7 +185,7 @@ class TestWorkerCrash:
 
         registry = MetricsRegistry()
         out = ex.run(stack, plan, metrics=registry)
-        _assert_identical(out, sfft_batch_fused(stack, plan))
+        _assert_identical(out, sfft_batch(stack, plan=plan))
         snap = registry.snapshot()
         assert snap["sfft.executor.worker_failures"]["value"] >= 1
 
@@ -200,7 +200,7 @@ class TestStartMethodDeterminism:
         # start methods must yield the bit-identical serial-engine masks
         # and therefore bit-identical results.
         kwargs = dict(comb_width=_N >> 4, seed=123)
-        serial = sfft_batch_fused(stack, plan, **kwargs)
+        serial = sfft_batch(stack, plan=plan, **kwargs)
         for start_method in ("fork", "forkserver"):
             ex = ShardedExecutor(
                 workers=2, shard_size=2, mode="process",

@@ -1,7 +1,7 @@
 """Unit tests for the parameter-resolution seam (repro.core.params).
 
 Precedence under test, highest first: explicit kwargs > wisdom store >
-environment pins > paper defaults — plus the consumption metrics
+paper defaults — plus the consumption metrics
 (``sfft.wisdom.hit`` / ``miss`` / ``stale``) and the bit-identity
 guarantee (a wisdom hit produces exactly the plan its overrides name).
 """
@@ -13,14 +13,11 @@ import pytest
 
 from repro.core import global_plan_cache, make_plan, sfft, sfft_batch
 from repro.core.params import (
-    ENV_B,
-    ENV_LOOPS,
     ENV_WISDOM,
     RESOLUTION_SOURCES,
     resolve_sfft_config,
 )
 from repro.core.parameters import derive_parameters
-from repro.errors import ParameterError
 from repro.obs import MetricsRegistry, global_registry
 from repro.signals import make_sparse_signal
 from repro.tune import (
@@ -36,10 +33,8 @@ N, K = 1024, 4
 
 @pytest.fixture(autouse=True)
 def clean_resolution_env(monkeypatch):
-    """Ambient wisdom/env pins must not leak into these assertions."""
+    """Ambient wisdom must not leak into these assertions."""
     monkeypatch.delenv(ENV_WISDOM, raising=False)
-    monkeypatch.delenv(ENV_B, raising=False)
-    monkeypatch.delenv(ENV_LOOPS, raising=False)
     clear_wisdom_cache()
     yield
     clear_wisdom_cache()
@@ -69,45 +64,33 @@ class TestPrecedence:
         assert resolved.overrides == {} and resolved.class_key is None
 
     def test_sources_tuple_is_ordered(self):
-        assert RESOLUTION_SOURCES == ("explicit", "wisdom", "env", "default")
+        assert RESOLUTION_SOURCES == ("explicit", "wisdom", "default")
 
-    def test_explicit_beats_wisdom_and_env(self, tmp_path, monkeypatch):
+    def test_explicit_beats_wisdom(self, tmp_path, monkeypatch):
         store = tmp_path / "W.json"
         write_wisdom(store, loops=6)
         monkeypatch.setenv(ENV_WISDOM, str(store))
-        monkeypatch.setenv(ENV_LOOPS, "9")
         resolved = resolve_sfft_config(N, K, explicit={"loops": 5})
         assert resolved.source == "explicit"
         assert resolved.overrides == {"loops": 5}
 
     def test_explicit_comb_width_alone_pins_the_config(self, tmp_path,
                                                        monkeypatch):
-        monkeypatch.setenv(ENV_LOOPS, "9")
+        store = tmp_path / "W.json"
+        write_wisdom(store, loops=6)
+        monkeypatch.setenv(ENV_WISDOM, str(store))
         resolved = resolve_sfft_config(N, K, comb_width=64)
         assert resolved.source == "explicit"
         assert resolved.comb_width == 64 and resolved.overrides == {}
 
-    def test_wisdom_beats_env(self, tmp_path, monkeypatch):
+    def test_wisdom_beats_defaults(self, tmp_path, monkeypatch):
         store = tmp_path / "W.json"
         record = write_wisdom(store, loops=6)
         monkeypatch.setenv(ENV_WISDOM, str(store))
-        monkeypatch.setenv(ENV_LOOPS, "9")
         resolved = resolve_sfft_config(N, K)
         assert resolved.source == "wisdom"
         assert resolved.overrides == record["resolved"]
         assert resolved.class_key == record["class"]
-
-    def test_env_beats_defaults(self, monkeypatch):
-        monkeypatch.setenv(ENV_B, "64")
-        monkeypatch.setenv(ENV_LOOPS, "5")
-        resolved = resolve_sfft_config(N, K)
-        assert resolved.source == "env"
-        assert resolved.overrides == {"B": 64, "loops": 5}
-
-    def test_non_integer_env_pin_raises(self, monkeypatch):
-        monkeypatch.setenv(ENV_B, "many")
-        with pytest.raises(ParameterError, match=ENV_B):
-            resolve_sfft_config(N, K)
 
     def test_wisdom_path_argument_overrides_env(self, tmp_path,
                                                 monkeypatch):
@@ -147,12 +130,11 @@ class TestWisdomMetrics:
         store = tmp_path / "W.json"
         write_wisdom(store, loops=6, fingerprint="0" * 16)
         monkeypatch.setenv(ENV_WISDOM, str(store))
-        monkeypatch.setenv(ENV_LOOPS, "5")
         resolved = resolve_sfft_config(N, K)
         # The stale record must not be applied; resolution falls through
-        # to the next leg (env here).
-        assert resolved.source == "env"
-        assert resolved.overrides == {"loops": 5}
+        # to the paper defaults.
+        assert resolved.source == "default"
+        assert resolved.overrides == {}
         assert global_registry().counter("sfft.wisdom.stale").value == 1
         assert global_registry().counter("sfft.wisdom.hit").value == 0
 
@@ -199,6 +181,29 @@ class TestTransformConsumption:
         for a, b in zip(tuned, explicit):
             assert np.array_equal(a.locations, b.locations)
             assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("source", ["default", "explicit", "wisdom"])
+    def test_sfft_and_sfft_batch_share_one_plan_and_path(
+            self, tmp_path, monkeypatch, source):
+        # A stack of one through sfft_batch is sfft: the same cached plan
+        # object (one miss, then one hit) and the same bits.
+        overrides = {"loops": 7} if source == "explicit" else {}
+        if source == "wisdom":
+            store = tmp_path / "W.json"
+            write_wisdom(store, loops=6)
+            monkeypatch.setenv(ENV_WISDOM, str(store))
+        assert resolve_sfft_config(N, K, explicit=overrides).source \
+            == source
+        x = make_sparse_signal(N, K, seed=77).time
+        cache = global_plan_cache()
+        cache.clear()
+        single = sfft(x, K, seed=3, **overrides)
+        (batched,) = sfft_batch(x[None], K, seed=3, **overrides)
+        stats = cache.stats()
+        assert (stats["size"], stats["misses"], stats["hits"]) == (1, 1, 1)
+        for field in ("locations", "values", "votes"):
+            assert getattr(single, field).tobytes() \
+                == getattr(batched, field).tobytes()
 
     def test_explicit_kwargs_keep_old_behavior_under_wisdom(
             self, tmp_path, monkeypatch):

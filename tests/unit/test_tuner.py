@@ -20,6 +20,7 @@ from repro.tune import (
 )
 from repro.tune.cli import tune_main
 from repro.tune.tuner import _beats_default, _probe_signals
+from repro.tune.wisdom import _CONFIG_KEYS
 
 N, K = 4096, 4
 TINY = TuneConfig(trials=2, probes=1, reps=1)
@@ -27,9 +28,8 @@ TINY = TuneConfig(trials=2, probes=1, reps=1)
 
 @pytest.fixture(autouse=True)
 def clean_resolution_env(monkeypatch):
-    """The tuner measures raw configs; ambient pins would skew probes."""
-    for var in ("REPRO_WISDOM", "REPRO_SFFT_B", "REPRO_SFFT_LOOPS"):
-        monkeypatch.delenv(var, raising=False)
+    """The tuner measures raw configs; ambient wisdom would skew probes."""
+    monkeypatch.delenv("REPRO_WISDOM", raising=False)
 
 
 class TestWorkloadClass:
@@ -65,14 +65,13 @@ class TestCandidate:
         assert cand.resolved(N, K)["loops"] == 6
 
     def test_config_round_trips_through_candidate_from_config(self):
-        cand = Candidate(B_scale=0.5, loops=6, workers=2,
-                         executor_mode="thread")
+        cand = Candidate(B_scale=0.5, loops=6, workers=2)
         assert candidate_from_config(cand.config()) == cand
 
     def test_labels_name_every_axis(self):
         label = Candidate(B_scale=0.5, loops=6, comb_width=64,
-                          executor_mode="process", workers=2).label()
-        for bit in ("B*0.5", "L=6", "comb=64", "processx2"):
+                          fft_backend="scipy", workers=2).label()
+        for bit in ("B*0.5", "L=6", "comb=64", "scipy", "threadx2"):
             assert bit in label
 
 
@@ -85,11 +84,21 @@ class TestGenerateCandidates:
 
     def test_single_classes_have_no_executor_axes(self):
         for cand in generate_candidates(WorkloadClass(N, K)):
-            assert cand.executor_mode is None and cand.workers == 1
+            assert cand.fft_backend is None and cand.workers == 1
 
     def test_batch_classes_add_executor_axes(self):
         cands = generate_candidates(WorkloadClass(N, K, batch_size=8))
         assert any(c.workers > 1 for c in cands)
+
+    def test_no_config_axis_is_dead(self):
+        # Every key a wisdom record stores is one the batch sweep varies:
+        # an axis no candidate moves would be schema the tuner never
+        # measures.
+        default = Candidate().config()
+        cands = generate_candidates(WorkloadClass(N, K, batch_size=8))
+        for key in default:
+            assert any(c.config()[key] != default[key] for c in cands), key
+        assert _CONFIG_KEYS == set(default)
 
     def test_budget_truncates_but_keeps_default(self):
         cands = generate_candidates(WorkloadClass(N, K), budget=2)

@@ -104,11 +104,10 @@ class TestValidator:
 
     def test_config_checked(self):
         record = make_record(version=1)
-        record["config"] = {"B_scale": -1.0, "executor_mode": "fiber",
-                            "bogus": 3}
+        record["config"] = {"B_scale": -1.0, "workers": 0, "bogus": 3}
         problems = "\n".join(validate_wisdom_record(record))
         assert "B_scale" in problems
-        assert "executor_mode" in problems
+        assert "config.workers" in problems
         assert "unknown keys" in problems
 
     def test_resolved_must_be_positive_ints(self):

@@ -2,24 +2,37 @@
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
+    ENV_WISDOM,
     PlanWorkspace,
     bin_vectorized,
+    derive_parameters,
     estimate_values,
     estimate_values_stack,
+    global_plan_cache,
     permuted_indices,
+    resolve_sfft_config,
     sfft,
-    sfft_batch_fused,
+    sfft_batch,
 )
 from repro.core.workspace import GATHER_ELEMENT_CAP
 from repro.errors import ParameterError
 from repro.signals import make_sparse_signal
+from repro.tune import (
+    WISDOM_SCHEMA,
+    WisdomStore,
+    class_key,
+    config_fingerprint,
+)
 
 from tests.conftest import cached_plan
 
@@ -186,7 +199,7 @@ class TestBatchEngine:
     def test_matches_per_signal_driver_exactly(self):
         plan = cached_plan(4096, 8)
         X = _signal_stack(4096, 8, 4)
-        batch = sfft_batch_fused(X, plan)
+        batch = sfft_batch(X, plan=plan)
         for s in range(4):
             single = sfft(X[s], plan=plan)
             np.testing.assert_array_equal(
@@ -196,7 +209,7 @@ class TestBatchEngine:
             np.testing.assert_array_equal(batch[s].votes, single.votes)
 
     def test_single_row_stack(self, plan_small, signal_small):
-        res = sfft_batch_fused(signal_small.time[None, :], plan_small)
+        res = sfft_batch(signal_small.time[None, :], plan=plan_small)
         assert len(res) == 1
         assert set(res[0].locations.tolist()) == set(
             signal_small.locations.tolist()
@@ -208,51 +221,91 @@ class TestBatchEngine:
         # Pure noise: voting cannot reach k coefficients consistently.
         X = np.stack([rng.standard_normal(1024) * 1e-12 for _ in range(2)])
         with pytest.raises(RecoveryError):
-            sfft_batch_fused(X, plan_small, strict=True)
+            sfft_batch(X, plan=plan_small, strict=True)
 
     def test_rejects_bad_stack_shapes(self, plan_small):
         with pytest.raises(ParameterError):
-            sfft_batch_fused(
-                np.zeros((2, 2, 2), dtype=np.complex128), plan_small
+            sfft_batch(
+                np.zeros((2, 2, 2), dtype=np.complex128), plan=plan_small
             )
+
+
+races = st.fixed_dictionaries({
+    "n_log2": st.integers(min_value=10, max_value=15),
+    "k": st.integers(min_value=1, max_value=16),
+    "threads": st.integers(min_value=2, max_value=8),
+    "calls": st.integers(min_value=1, max_value=32),
+    "seed": st.integers(min_value=0, max_value=2**20),
+})
 
 
 class TestConcurrentPlanless:
     """Plan-less ``sfft(x, k)`` callers share one cached plan and its
-    workspace; threads must get exactly the serial bits."""
-
-    N, K, SIGNALS, THREADS = 1 << 16, 16, 32, 8
+    workspace; threads must get exactly the serial bits, also while they
+    race to build that plan."""
 
     @staticmethod
     def _bits(res):
         return (res.locations.tobytes(), res.values.tobytes(),
                 res.votes.tobytes())
 
-    def test_threads_match_serial_bit_for_bit(self):
-        X = _signal_stack(self.N, self.K, self.SIGNALS, seed=900)
-        serial = [self._bits(sfft(x, self.K, seed=1234)) for x in X]
-        results: list[list] = [[] for _ in range(self.THREADS)]
+    def _race(self, case) -> None:
+        n, k = 1 << case["n_log2"], case["k"]
+        threads, calls = case["threads"], case["calls"]
+        X = _signal_stack(n, k, calls, seed=case["seed"])
+        serial = [self._bits(sfft(x, k, seed=1234)) for x in X]
+        results: list[list] = [[] for _ in range(threads)]
 
         def worker(t: int) -> None:
-            for j in range(self.SIGNALS):
-                i = (j + 4 * t) % self.SIGNALS  # threads start staggered
-                results[t].append(
-                    (i, self._bits(sfft(X[i], self.K, seed=1234)))
-                )
+            for j in range(calls):
+                i = (j + t * calls // threads) % calls  # staggered starts
+                results[t].append((i, self._bits(sfft(X[i], k, seed=1234))))
 
+        global_plan_cache().clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=worker, args=(t,))
-                       for t in range(self.THREADS)]
-            for t in threads:
+            pool = [threading.Thread(target=worker, args=(t,))
+                    for t in range(threads)]
+            for t in pool:
                 t.start()
-            for t in threads:
+            for t in pool:
                 t.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        assert not any(t.is_alive() for t in pool)
         got = [r for rows in results for r in rows]
-        assert len(got) == self.THREADS * self.SIGNALS
+        assert len(got) == threads * calls
         mismatched = sum(bits != serial[i] for i, bits in got)
         assert mismatched == 0
+
+    @given(races)
+    @settings(max_examples=8, deadline=None)
+    def test_threads_match_serial_bit_for_bit(self, case):
+        self._race(case)
+
+    @given(races)
+    @settings(max_examples=8, deadline=None)
+    def test_threads_match_serial_under_wisdom(self, tmp_path_factory,
+                                               case):
+        n, k = 1 << case["n_log2"], case["k"]
+        resolved = derive_parameters(n, k, loops=6)
+        resolved = {"B": int(resolved.B), "loops": int(resolved.loops)}
+        store = WisdomStore(str(tmp_path_factory.mktemp("wisdom") / "W"))
+        store.append({
+            "schema": WISDOM_SCHEMA,
+            "class": class_key(n, k),
+            "config": {"loops": 6},
+            "resolved": resolved,
+            "fingerprint": config_fingerprint(n, k, dict(resolved)),
+        })
+        previous = os.environ.get(ENV_WISDOM)
+        os.environ[ENV_WISDOM] = store.path
+        try:
+            assert resolve_sfft_config(n, k).source == "wisdom"
+            self._race(case)
+        finally:
+            if previous is None:
+                del os.environ[ENV_WISDOM]
+            else:
+                os.environ[ENV_WISDOM] = previous
