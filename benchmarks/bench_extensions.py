@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import print_experiment, shared_plan, shared_signal
-from repro.core import sfft_batch
+from repro.core import sfft, sfft_batch
 from repro.dispatch import recommend_transform
 from repro.tuning import tune_parameters
 
@@ -81,17 +81,19 @@ def test_print_ext_offgrid(benchmark):
 
 
 def test_exact_phase_decoder(benchmark):
-    """Wall-clock of the sFFT-3.0-style exactly-sparse transform."""
-    from repro.core import sfft_exact
+    """Wall-clock of ``sfft`` on an exactly sparse input, which the
+    engine locates by phase (sFFT-3.0 style) instead of voting."""
+    from repro.core import make_plan
+    from repro.obs import MetricsRegistry, Tracer
 
     sig = shared_signal(1 << 16, 32)
+    plan = make_plan(1 << 16, 32, seed=5)
 
-    def run():
-        res, _ = sfft_exact(sig.time, 32, seed=5)
-        return res
-
-    res = benchmark(run)
+    res = benchmark(lambda: sfft(sig.time, plan=plan))
     assert res.k_found == 32
+    registry = MetricsRegistry()
+    sfft(sig.time, plan=plan, tracer=Tracer(), metrics=registry)
+    assert registry.counter("sfft.location.phase").value == 1
 
 
 def test_print_ext_exact(benchmark):

@@ -142,12 +142,12 @@ COMMENTARY = {
         "transactions), a projected 1.1-1.3x end-to-end."
     ),
     "ext-exact": (
-        "Extension (paper ref [3], sFFT 3.0): location by phase decoding on "
-        "one-sample-shifted buckets, with iterative peeling and a residual "
-        "refinement — no candidate search, no voting.  Exact support and "
-        "~1e-8 values on noiseless inputs; it also stays exact in the "
-        "small-n / high-k/B regime where the paper-profile windowed "
-        "pipeline's recall dips."
+        "Extension (paper ref [3], sFFT 3.0): the engine's phase-first "
+        "location reads each singleton's position off a one-sample-shifted "
+        "fold of the plan's own loops and peels, certifying on the next "
+        "loop — no candidate search, no voting.  Exact support and values "
+        "to rounding error on noiseless inputs, from fewer loops; the same "
+        "input with 1e-4 relative noise fails the phase screen and votes."
     ),
     "ext-offgrid": (
         "Extension: tones displaced off the DFT grid smear into Dirichlet "

@@ -40,7 +40,6 @@ from .core import (
     rsfft,
     sfft,
     sfft_batch,
-    sfft_exact,
 )
 from .errors import ReproError
 from .signals import SparseSignal, add_awgn, make_sparse_signal
@@ -57,7 +56,6 @@ __all__ = [
     "rsfft",
     "sfft",
     "sfft_batch",
-    "sfft_exact",
     "ReproError",
     "SparseSignal",
     "add_awgn",

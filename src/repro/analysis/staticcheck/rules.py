@@ -14,7 +14,12 @@ by path relative to the ``repro`` package root (posix separators):
 * ``workspace-mutation`` — the :class:`~repro.core.workspace.PlanWorkspace`
   derived arrays (gather matrix, tap layout) are shared between worker
   clones; writing them outside ``core/workspace.py`` corrupts every
-  concurrent shard (the PR-4 immutability contract).
+  concurrent shard (the PR-4 immutability contract).  Inside it, a
+  ``PlanWorkspace`` method may set ``self.<attr>`` only in ``__init__``,
+  ``clone`` and ``adopt_shared``, or as a lazy-cache fill (a property
+  assigning an attribute ``__init__`` set to ``None``): a cached
+  workspace is shared by every thread running its plan, so per-call
+  scratch stored on it races.
 * ``wallclock-in-core`` — ``core/`` and ``gpu/`` must not read host
   clocks directly; timing belongs to the observability layer
   (:func:`repro.obs.monotonic` is the sanctioned seam), so modeled time
@@ -183,6 +188,8 @@ _FROZEN_WORKSPACE_ATTRS = frozenset({
     "gather", "taps_flat", "taps_matrix",
     "_gather", "_taps_flat", "_taps_matrix",
 })
+#: The PlanWorkspace methods that may set its attributes.
+_WORKSPACE_SETTERS = frozenset({"__init__", "clone", "adopt_shared"})
 #: In-place ndarray methods that mutate the receiver.
 _MUTATING_METHODS = frozenset({"fill", "sort", "put", "partition", "resize"})
 _CLOCK_FUNCS = frozenset({"time", "perf_counter", "monotonic",
@@ -240,6 +247,42 @@ def _attr_chain(node: ast.AST) -> list[str] | None:
     return None
 
 
+def _self_attr(node: ast.AST) -> bool:
+    """Whether ``node`` is ``self.<attr>``."""
+    return isinstance(node, ast.Attribute) \
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+
+
+def _self_stores(node: ast.AST) -> list[str]:
+    """Attributes of ``self`` that statement or call ``node`` sets:
+    assignment targets (tuples unpacked) and ``setattr(self, "a", ...)``
+    / ``object.__setattr__(self, "a", ...)`` calls."""
+    if isinstance(node, ast.Assign):
+        targets = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    elif isinstance(node, ast.Call):
+        chain = _attr_chain(node.func)
+        if chain and chain[-1] in ("setattr", "__setattr__") \
+                and len(node.args) >= 2 \
+                and isinstance(node.args[0], ast.Name) \
+                and node.args[0].id == "self":
+            name = node.args[1]
+            return [name.value if isinstance(name, ast.Constant)
+                    else "<dynamic>"]
+        return []
+    else:
+        return []
+    attrs = []
+    while targets:
+        t = targets.pop()
+        if isinstance(t, (ast.Tuple, ast.List)):
+            targets.extend(t.elts)
+        elif _self_attr(t):
+            attrs.append(t.attr)
+    return attrs
+
+
 class _Visitor(ast.NodeVisitor):
     def __init__(self, relpath: str, path: str) -> None:
         self.relpath = relpath
@@ -250,8 +293,9 @@ class _Visitor(ast.NodeVisitor):
         self._time_aliases: set[str] = set()       # `import time as t`
         self._clock_names: set[str] = set()        # `from time import ...`
 
-    def _emit(self, rule_id: str, node: ast.AST, message: str) -> None:
-        if _exempt(rule_id, self.relpath):
+    def _emit(self, rule_id: str, node: ast.AST, message: str, *,
+              scoped: bool = True) -> None:
+        if scoped and _exempt(rule_id, self.relpath):
             return
         rule = RULES[rule_id]
         line = getattr(node, "lineno", 0)
@@ -456,6 +500,44 @@ class _Visitor(ast.NodeVisitor):
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_shm_unlink_path(node)
         self.generic_visit(node)
+
+    # -- classes: PlanWorkspace attributes are set in few places ------------
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        if node.name == "PlanWorkspace" \
+                and self.relpath == "core/workspace.py":
+            self._check_workspace_attrs(node)
+        self.generic_visit(node)
+
+    def _check_workspace_attrs(self, cls: ast.ClassDef) -> None:
+        methods = [f for f in cls.body if isinstance(f, ast.FunctionDef)]
+        # Lazy caches: attributes __init__ sets to None.
+        lazy = {
+            attr
+            for f in methods if f.name == "__init__"
+            for sub in ast.walk(f)
+            if isinstance(getattr(sub, "value", None), ast.Constant)
+            and sub.value.value is None
+            for attr in _self_stores(sub)
+        }
+        for f in methods:
+            if f.name in _WORKSPACE_SETTERS:
+                continue
+            fills = lazy if any(isinstance(d, ast.Name) and d.id == "property"
+                                for d in f.decorator_list) else set()
+            for sub in ast.walk(f):
+                for attr in _self_stores(sub):
+                    if attr in fills:
+                        continue
+                    self._emit(
+                        "workspace-mutation", sub,
+                        f"PlanWorkspace.{f.name} sets self.{attr} — a "
+                        f"cached workspace is shared by every thread "
+                        f"running its plan; only __init__, clone, "
+                        f"adopt_shared and lazy-cache fills may set "
+                        f"attributes (keep per-call scratch local)",
+                        scoped=False,
+                    )
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._check_shm_unlink_path(node)

@@ -112,7 +112,6 @@ SHAPE_RULES: dict[str, Rule] = {
 #: Dotted names that MUST carry a contract (the tentpole's public surface).
 REQUIRED_CONTRACTS: tuple[str, ...] = (
     "repro.core.workspace.PlanWorkspace.bin_fused",
-    "repro.core.workspace.PlanWorkspace.bin_fused_stack",
     "repro.core.batch.as_signal_stack",
     "repro.core.batch.run_stack_pipeline",
     "repro.core.binning.bin_serial",

@@ -27,7 +27,6 @@ from .estimation import (
     loop_estimates,
     median_reliable,
 )
-from .exact import ExactSfftStats, sfft_exact
 from .parameters import PROFILES, SfftParameters, derive_parameters
 from .params import (
     ENV_WISDOM,
@@ -71,8 +70,6 @@ __all__ = [
     "clean_loop_counts",
     "componentwise_median",
     "median_reliable",
-    "ExactSfftStats",
-    "sfft_exact",
     "estimate_values",
     "estimate_values_stack",
     "loop_estimates",

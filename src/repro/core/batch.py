@@ -7,10 +7,17 @@ driver :func:`~repro.core.sfft.sfft` as a stack of one, the batched
 the serial run path :func:`run_serial`), and the sharded executor
 (:mod:`repro.core.executor`) over slices of one.  The stack amortizes
 execution overhead the way the GPU implementation amortizes kernel
-launches:
+launches.
+
+Location is phase-first (:mod:`repro.core.phase`): in lockstep rounds,
+one plan loop each, every signal's loop is folded plain and
+one-sample-shifted, the pairs go through one batched bucket FFT, and
+exactly sparse signals are decoded, certified on the next loop and
+solved without voting.  The signals it does not certify run the paper's
+steps on the loops it left them, with the rows it already folded:
 
 1-2. permute + filter + fold, one fused gather per signal through the
-     plan workspace (:meth:`~repro.core.workspace.PlanWorkspace.bin_fused_stack`);
+     plan workspace (:meth:`~repro.core.workspace.PlanWorkspace.bin_fused`);
 3.   a single ``(S*L, B)`` batched bucket FFT — the shape a batched cuFFT
      call would take;
 4.   one batched top-k over all ``S * v_loops`` voting rows
@@ -24,7 +31,9 @@ launches:
 Every stage is per-signal independent, so row ``s`` of a stack — whole,
 sharded, or alone — gives bit-identical results.  The ``stage`` hook is
 the one timing path: the driver, the benchmarks and the executor clock the
-same :data:`STEP_NAMES` spans through it.
+same :data:`STEP_NAMES` spans through it.  Phase location clocks its folds
+as ``perm_filter``, its live-bucket selection as ``cutoff``, its peeling
+and decoding as ``recovery`` and its value solve as ``estimation``.
 
 The public batch entry point is :func:`repro.core.variants.sfft_batch`.
 """
@@ -33,17 +42,25 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
 from ..analysis.staticcheck.contracts import shape_contract
 from ..errors import ParameterError, RecoveryError
-from ..obs import MetricsRegistry, Tracer, emit_sfft_metrics
+from ..obs import (
+    MetricsRegistry,
+    Tracer,
+    count_locations,
+    emit_sfft_metrics,
+    global_registry,
+)
 from ..utils.rng import RngLike
 from ..utils.validation import as_complex_signal
 from .comb import comb_approved_residues
 from .cutoff import cutoff_rows
 from .estimation import estimate_values_stack
+from .phase import PhaseStack
 from .plan import SfftPlan
 from .recovery import recover_locations_stack
 
@@ -67,7 +84,11 @@ class SparseFFTResult:
         Complex coefficient estimates aligned with ``locations``
         (``numpy.fft.fft`` scale).
     votes:
-        Location-loop vote count per recovered frequency.
+        Per recovered frequency, the loops that confirmed it.  For a
+        voted signal: its location-loop vote count.  For a signal
+        located by phase (:mod:`repro.core.phase`): the loop it was
+        decoded in plus every later loop it was peeled from, the
+        certifying loop included.
     step_times:
         Wall-clock seconds per pipeline step when ``sfft`` was given a
         tracer, else ``None``.  A view over ``trace``: each step's spans
@@ -122,19 +143,23 @@ NON_FINITE_INPUT = "input samples are NaN or infinite"
 OVERFLOWING_INPUT = "coefficient estimates overflow float64"
 
 
-def reject_non_finite(per_signal, problem: str, signal_offset: int = 0) -> None:
+def reject_non_finite(per_signal, problem: str, signal_offset: int = 0,
+                      ids=None) -> None:
     """Raise :class:`~repro.errors.ParameterError` naming the first signal
     whose array in ``per_signal`` holds a NaN or inf.
 
-    The drivers call it on the binned ``(S, L, B)`` buckets right after
-    steps 1-2 instead of on the ``(S, n)`` input: ``S*L*B`` reads, not
-    ``S*n``, and nothing is lost — every sample the transform reads is
-    multiplied into some bucket (a NaN or inf times a zero tap is still
-    NaN), and samples it never reads cannot affect the result.  A second
-    call on the ``S*k`` estimates rejects finite input whose spectrum
-    overflows ``float64``.
+    ``ids`` are the stack rows the arrays belong to (default: 0, 1, ...).
+    The engine calls it on the folded buckets right after each fold
+    instead of on the ``(S, n)`` input: bucket reads, not ``S*n``, and
+    nothing is lost — every sample the transform reads is multiplied into
+    some bucket (a NaN or inf times a zero tap is still NaN), and samples
+    it never reads cannot affect the result.  A second call on the
+    ``S*k`` estimates rejects finite input whose spectrum overflows
+    ``float64``.
     """
-    for s, row in enumerate(per_signal):
+    if isinstance(per_signal, np.ndarray) and np.isfinite(per_signal).all():
+        return
+    for s, row in zip(count() if ids is None else ids, per_signal):
         if not np.isfinite(row).all():
             raise ParameterError(f"signal {signal_offset + s}: {problem}")
 
@@ -219,50 +244,173 @@ def run_stack_pipeline(
     callable returning a context manager, used to clock each stage (the
     driver and the executor emit their spans through it).  ``metrics``
     receives each signal's ``sfft.*`` metrics (bucket occupancy, pre-trim
-    hits and votes, collisions); ``None`` publishes nothing.
+    hits and votes, collisions); ``None`` publishes none of those.
+
+    Signals are located by phase first (:mod:`repro.core.phase`); those
+    it does not certify — and every signal of a run with Comb masks, which
+    only screen voting — run the cutoff, voting and median estimation on
+    the loops phase location left them, with the rows it already folded.
+    How many signals took each route is always counted, in ``metrics`` or
+    else the global registry, as ``sfft.location.phase`` and
+    ``sfft.location.vote``.
     """
     S = X.shape[0]
     params = plan.params
     B, L = params.B, params.loops
-    v_loops = params.voting_loops
     ws = plan.workspace() if workspace is None else workspace
     stage = stage or _no_stage
 
-    # Steps 1-2: one fused gather + fold per signal.
-    with stage("perm_filter", signals=S, loops=L, B=B):
-        raw = ws.bin_fused_stack(X)
-    reject_non_finite(raw, NON_FINITE_INPUT, signal_offset)
+    # Folded buckets before the FFT; loops [0, binned[s]) of row s are
+    # filled by phase location, the rest by voting's own fold.
+    raw = np.empty((S, L, B), dtype=np.complex128)
+    binned = np.zeros(S, dtype=np.int64)
+    found = {}
+    if residue_filters is None:
+        found = _locate_by_phase(X, plan, ws, raw, binned, stage,
+                                 signal_offset)
+    n_phase = len(found)
+    voters = [s for s in range(S) if s not in found]
+    if voters:
+        rows = _bucket_rows(X, ws, raw, binned, voters, stage, signal_offset)
+        del raw  # voting needs only the transformed rows
+        found.update(_locate_by_vote(
+            rows, plan, voters, stage, signal_offset,
+            cutoff_method=cutoff_method, residue_filters=residue_filters,
+            strict=strict,
+        ))
+    reject_non_finite((found[s][1] for s in range(S)), OVERFLOWING_INPUT,
+                      signal_offset)
 
-    # Step 3: one (S*L, B) batched bucket FFT through the workspace's
-    # backend binding.
-    with stage("bucket_fft", B=B, batch=S * L):
-        rows = ws.bucket_fft(raw.reshape(S * L, B)).reshape(S, L, B)
+    count_locations(global_registry() if metrics is None else metrics,
+                    phase=n_phase, vote=S - n_phase)
+    results = []
+    for s in range(S):
+        hits, values, votes, selected_sizes, loops = found[s]
+        if metrics is not None:
+            emit_sfft_metrics(
+                metrics, B=B, n=params.n, selected_sizes=selected_sizes,
+                hits=hits, votes=votes, permutations=plan.permutations[:loops],
+            )
+        res = SparseFFTResult(
+            n=params.n, locations=hits, values=values, votes=votes
+        )
+        results.append(res.top(params.k) if trim_to_k else res)
+    return results
+
+
+def _locate_by_phase(X, plan, ws, raw, binned, stage, signal_offset):
+    """Phase-first location in lockstep rounds over the stack.
+
+    Round ``r`` folds loop ``r`` plain and shifted for every signal still
+    running and transforms them in one batched bucket FFT; after loop 0
+    the screen sends signals that look noisy to voting.  Signals with
+    ``k`` coefficients found have their values solved, and loop ``r``
+    certifies those it finds empty once they are peeled; the others
+    select their live buckets and decode (see
+    :class:`~repro.core.phase.PhaseStack`).  The plain folds land in
+    ``raw`` (``binned`` counts them), where voting picks them up.
+    Returns ``{s: (hits, values, votes, live sizes, loops)}`` for the
+    certified signals.
+    """
+    B, L, k = plan.params.B, plan.params.loops, plan.params.k
+    phase = PhaseStack(plan, X.shape[0])
+    running = np.arange(X.shape[0])
+    located = []
+    for r in range(L):
+        if not running.size:
+            break
+        A = running.size
+        with stage("perm_filter", signals=A, loops=1, B=B):
+            pairs = np.empty((A, 2, B), dtype=np.complex128)
+            for i, s in enumerate(running.tolist()):
+                ws.bin_fused(X[s], out=pairs[i], first=r, shifted=True)
+        reject_non_finite(pairs, NON_FINITE_INPUT, signal_offset,
+                          ids=running.tolist())
+        raw[running, r] = pairs[:, 0]
+        binned[running] = r + 1
+        with stage("bucket_fft", B=B, batch=2 * A):
+            pairs = ws.bucket_fft(pairs.reshape(2 * A, B)).reshape(A, 2, B)
+        if r == 0:
+            with stage("cutoff", method="phase"):
+                kept = phase.screen(running, pairs[:, 0])
+            if not kept.all():
+                running, pairs = running[kept], pairs[kept]
+                if not running.size:
+                    break
+                A = running.size
+        ready = running[phase.count[running] >= k]
+        if ready.size:
+            with stage("estimation", hits=int(phase.count[ready].sum())):
+                phase.solve(ready)
+        with stage("recovery", loops=1, signals=A):
+            U, V, done = phase.peel(running, r, pairs)
+        located += running[done].tolist()
+        if done.all():
+            break
+        with stage("cutoff", method="phase"):
+            live, mags = phase.cutoff(running, U, done)
+        with stage("recovery", loops=1, signals=A):
+            phase.decode(running, r, U, V, live, mags)
+        running = running[~done]
+    return {s: (*phase.located(s), phase.live[s], int(phase.rounds[s]))
+            for s in located}
+
+
+def _bucket_rows(X, ws, raw, binned, voters, stage, signal_offset):
+    """Steps 1-3 for the signals in ``voters``: fold the loops phase
+    location did not (``raw`` holds the rest) and transform all of them
+    in one ``(V*L, B)`` batched bucket FFT; returns ``(V, L, B)``."""
+    B, L = ws.B, ws.loops
+
+    # Steps 1-2: one fused gather + fold per signal.
+    with stage("perm_filter", signals=len(voters), loops=L, B=B):
+        for s in voters:
+            first = int(binned[s])
+            if first < L:
+                ws.bin_fused(X[s], out=raw[s, first:], first=first)
+    sub = raw if len(voters) == raw.shape[0] else raw[voters]
+    reject_non_finite(sub, NON_FINITE_INPUT, signal_offset, ids=voters)
+
+    # Step 3: one batched bucket FFT through the workspace's backend
+    # binding.
+    with stage("bucket_fft", B=B, batch=sub.shape[0] * L):
+        return ws.bucket_fft(sub.reshape(-1, B)).reshape(sub.shape)
+
+
+def _locate_by_vote(rows, plan, voters, stage, signal_offset, *,
+                    cutoff_method, residue_filters, strict):
+    """Steps 4-6 for the signals in ``voters`` on their ``(V, L, B)``
+    bucket ``rows``; ``{s: (hits, values, votes, cutoff sizes, voting
+    loops)}``."""
+    params = plan.params
+    B, v_loops = params.B, params.voting_loops
 
     # Step 4: batched cutoff over all (signal, voting-loop) rows at once.
     with stage("cutoff", method=cutoff_method):
         flat_sel = cutoff_rows(
-            np.abs(rows[:, :v_loops, :]).reshape(S * v_loops, B),
+            np.abs(rows[:, :v_loops, :]).reshape(-1, B),
             params.select_count,
             method=cutoff_method,
         )
         selected = [
-            flat_sel[s * v_loops:(s + 1) * v_loops] for s in range(S)
+            flat_sel[i * v_loops:(i + 1) * v_loops]
+            for i in range(len(voters))
         ]
 
     # Step 5: sort-count voting, one sort per signal.
-    perms_v = list(plan.permutations[:v_loops])
     with stage("recovery", loops=v_loops):
         hits, votes = recover_locations_stack(
-            selected, perms_v, B, params.vote_threshold,
+            selected, list(plan.permutations[:v_loops]), B,
+            params.vote_threshold,
             residue_filters=residue_filters,
         )
 
     if strict:
-        for s in range(S):
-            if hits[s].size < params.k:
+        for s, h in zip(voters, hits):
+            if h.size < params.k:
                 raise RecoveryError(
                     f"signal {signal_offset + s}: recovered only "
-                    f"{hits[s].size} of k={params.k} coefficients"
+                    f"{h.size} of k={params.k} coefficients"
                 )
 
     # Step 6: median magnitude reconstruction.
@@ -270,25 +418,11 @@ def run_stack_pipeline(
         values = estimate_values_stack(
             hits, rows, list(plan.permutations), plan.filt, B
         )
-    reject_non_finite(values, OVERFLOWING_INPUT, signal_offset)
-
-    if metrics is not None:
-        for s in range(S):
-            emit_sfft_metrics(
-                metrics, B=B, n=params.n,
-                selected_sizes=[int(sel.size) for sel in selected[s]],
-                hits=hits[s], votes=votes[s], permutations=perms_v,
-            )
-
-    results = []
-    for s in range(S):
-        res = SparseFFTResult(
-            n=params.n, locations=hits[s], values=values[s], votes=votes[s]
-        )
-        if trim_to_k:
-            res = res.top(params.k)
-        results.append(res)
-    return results
+    return {
+        s: (hits[i], values[i], votes[i],
+            [int(sel.size) for sel in selected[i]], v_loops)
+        for i, s in enumerate(voters)
+    }
 
 
 @shape_contract("X:*, plan:* -> *", bind={"n": "plan.n"})

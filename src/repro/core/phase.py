@@ -1,0 +1,281 @@
+"""Phase-first location — read exactly sparse spectra off a shifted fold.
+
+For an exactly sparse spectrum the engine
+(:func:`~repro.core.batch.run_stack_pipeline`) locates coefficients the
+way *Nearly Optimal Sparse Fourier Transform* (Hassanieh et al., the
+paper's reference [3]) does, from the plan's own loops, filter and
+gather, before any voting.  Rounds run in lockstep over the stack, one
+plan loop per round:
+
+* **shifted fold** — loop ``r``'s samples ``x[(i*sigma_r + tau_r) mod n]``
+  are folded twice (``PlanWorkspace.bin_fused(shifted=True)``): as usual
+  into ``U_r``, and one position on into ``V_r``, ``w + 1`` reads in all.
+  The shift multiplies the coefficient at permuted position
+  ``p = sigma_r*f mod n`` by ``e^{2 pi i p/n}``, and the filter response
+  cancels in ``V/U``;
+* **peel** (:meth:`PhaseStack.peel`) — the coefficients found in earlier
+  loops are subtracted from ``U`` and ``V``, in their own bucket and both
+  neighbours (the filter's transition band reaches one bucket out; past
+  it the response is below the tolerance);
+* **certify** — a signal is located once at least ``k`` coefficients
+  are found, their values solved, and the *next* loop's buckets, with
+  them peeled, all lie below the floor: a fresh permutation re-hashes
+  every coefficient, so a missing or a wrong one would show there;
+* **cutoff** (:meth:`PhaseStack.cutoff`) — the live buckets are those
+  above the floor, the analogue of voting's top-``m`` selection;
+* **decode** (:meth:`PhaseStack.decode`) — a live bucket ``m`` holds a
+  single coefficient when ``|U| == |V|``; then
+  ``p = round(angle(V/U) * n/2pi)`` must lie near an integer, hash back
+  to ``m`` and sit in the passband, and ``f = sigma_r^-1 * p``;
+* **solve** (:meth:`PhaseStack.solve`, before the loop that may
+  certify) — each value is solved from the bucket it was decoded in,
+  with every found coefficient's exact ``filt.freq`` contribution
+  removed (a Jacobi iteration on the ``K x K`` coupling, built once per
+  certificate attempt, usually once per signal).  For exactly sparse
+  input that bucket model is exact, so the values carry rounding error
+  only.  Decoded values are not: decoding cannot see a transition-band
+  neighbour's share of a bucket, since the shift barely turns its phase.
+
+A signal goes to voting when loop 0 fails the screen (more than
+:data:`SCREEN_LIVE` live buckets per coefficient: noise lights every
+bucket), when no loop of the plan certifies it, or when its solve does
+not converge.  Loop 0 decoding nothing is no reason: with few buckets
+all coefficients can collide in one loop.  The loops it folded are kept, so voting sees
+the rows it would have binned itself and returns the same bits.
+
+Every threshold is :data:`SLACK` times the plan's filter tolerance, the
+stop-band leakage each coefficient puts into every other bucket.  All
+state is flat arrays over the stack keyed by ``s*n + f``, and every
+operation is elementwise or per signal, so a signal's result does not
+depend on the stack it runs in.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["PhaseStack"]
+
+#: Floor and singleton tolerance, in multiples of the filter tolerance.
+SLACK = 100.0
+#: Loop-0 screen: at most this many live buckets per coefficient (each
+#: coefficient lights its own bucket and, through the transition band,
+#: at most one neighbour).
+SCREEN_LIVE = 3
+#: A decoded position must lie this close to an integer.
+_FRACTION = 0.25
+#: Passband floor of ``|filt.freq|`` at a decoded offset.
+_PASSBAND = 0.5
+#: Solve convergence: last update relative to the largest value.
+_SOLVE_TOL = 1e-14
+#: A coefficient's own bucket and both neighbours.
+_NEAR = np.array([-1, 0, 1])
+
+
+def _turn(m: np.ndarray, n: int) -> np.ndarray:
+    """``e^{2 pi i m/n}`` of exactly reduced integers ``0 <= m < n``."""
+    return np.exp((2j * np.pi / n) * m)
+
+
+class PhaseStack:
+    """Phase-location state of an ``S``-signal stack.
+
+    Found coefficients are flat arrays sorted by ``key = s*n + f``, with
+    the loop and bucket each was decoded in (its equation in
+    :meth:`solve`).  ``urows[s, r]`` keeps signal ``s``'s bucket FFT of
+    loop ``r``, ``rounds[s]`` how many loops it consumed, ``solved[s]``
+    whether its values are solved, and ``live[s]`` its live-bucket count
+    per decode round.
+    """
+
+    def __init__(self, plan, S: int):
+        self.plan = plan
+        params = plan.params
+        self.n, self.B, self.k = params.n, params.B, params.k
+        self.tol = SLACK * params.tolerance
+        self.floor = np.zeros(S)
+        self.keys = np.empty(0, dtype=np.int64)
+        self.vals = np.empty(0, dtype=np.complex128)
+        self.loops = np.empty(0, dtype=np.int64)
+        self.buckets = np.empty(0, dtype=np.int64)
+        self.count = np.zeros(S, dtype=np.int64)
+        self.urows = None  # (S, L, B), allocated once a signal passes
+        self.rounds = np.zeros(S, dtype=np.int64)
+        self.solved = np.zeros(S, dtype=bool)
+        self.live: list[list[int]] = [[] for _ in range(S)]
+
+    # -- one round ------------------------------------------------------
+
+    def solve(self, signals: np.ndarray) -> None:
+        """Solve the values of ``signals`` (each with at least ``k``
+        found) before the loop that may certify them."""
+        n = self.n
+        for s in signals.tolist():
+            lo, hi = np.searchsorted(self.keys, [s * n, (s + 1) * n]).tolist()
+            x = self._solve(s, lo, hi)
+            self.solved[s] = x is not None
+            if x is not None:
+                self.vals[lo:hi] = x
+
+    def peel(self, running: np.ndarray, r: int, pairs: np.ndarray):
+        """Take loop ``r``'s bucket FFTs ``pairs`` (``(A, 2, B)``: plain
+        and shifted, one row pair per signal in ``running``, ascending)
+        and return them with the found coefficients peeled, ``(U, V)``,
+        and which signals this loop certifies."""
+        n, B = self.n, self.B
+        if self.urows is None:
+            self.urows = np.empty((self.count.size, self.plan.loops, B),
+                                  dtype=np.complex128)
+        self.urows[running, r] = pairs[:, 0]
+        self.rounds[running] = r + 1
+        U, V = pairs[:, 0], pairs[:, 1]
+        sig = self.keys // n
+        member = np.zeros(self.count.size, dtype=bool)
+        member[running] = True
+        mine = np.flatnonzero(member[sig])
+        if not mine.size:
+            return U, V, np.zeros(running.size, dtype=bool)
+        idx, w, p = self._spread(mine, r)
+        idx += np.searchsorted(running, sig[mine])[:, None] * B
+        c = w * self.vals[mine, None]
+        du = np.zeros(U.size, dtype=np.complex128)
+        np.add.at(du, idx, c)
+        U = U - du.reshape(U.shape)
+        done = self.solved[running] \
+            & (np.abs(U).max(axis=1) <= self.floor[running])
+        if not done.all():
+            dv = np.zeros(V.size, dtype=np.complex128)
+            np.add.at(dv, idx, c * _turn(p, n)[:, None])
+            V = V - dv.reshape(V.shape)
+        return U, V, done
+
+    def screen(self, running: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """Set each signal's floor from its loop-0 buckets ``U`` and
+        return which pass the screen: at most :data:`SCREEN_LIVE` live
+        buckets per coefficient."""
+        mags = np.abs(U)
+        self.floor[running] = self.tol * mags.max(axis=1)
+        live = (mags > self.floor[running][:, None]).sum(axis=1)
+        return live <= SCREEN_LIVE * self.k
+
+    def cutoff(self, running: np.ndarray, U: np.ndarray, done: np.ndarray):
+        """Live buckets of the signals still decoding, as flat indices
+        into ``U``, with ``|U|`` flat."""
+        mags = np.abs(U)
+        live = mags > self.floor[running][:, None]
+        live[done] = False
+        counts = live.sum(axis=1)
+        for s, c, d in zip(running.tolist(), counts.tolist(), done.tolist()):
+            if not d:
+                self.live[s].append(c)
+        return np.flatnonzero(live), mags.ravel()
+
+    def decode(self, running: np.ndarray, r: int, U: np.ndarray,
+               V: np.ndarray, flat: np.ndarray, mags: np.ndarray):
+        """Read singletons off the live buckets ``flat`` and merge them."""
+        n, B = self.n, self.B
+        nb = n // B
+        perm = self.plan.permutations[r]
+        a, b, mag = U.ravel()[flat], V.ravel()[flat], mags[flat]
+        m = flat & (B - 1)
+        t = np.angle(b / a) * (n / (2 * np.pi))
+        p = np.rint(t)
+        ok = (np.abs(mag - np.abs(b)) <= self.tol * mag) \
+            & (np.abs(t - p) <= _FRACTION)
+        p = p.astype(np.int64) & (n - 1)
+        h = (p + nb // 2) // nb
+        g = self.plan.filt.freq[(h * nb - p) & (n - 1)]
+        ok &= ((h & (B - 1)) == m) & (np.abs(g) >= _PASSBAND)
+        pos = flat[ok] // B
+        f = p[ok] * perm.sigma_inv & (n - 1)
+        val = n * a[ok] / (g[ok] * _turn(f * perm.tau & (n - 1), n))
+        self._merge(running[pos] * n + f, val, r, m[ok])
+        self.solved[running] = False
+
+    # -- helpers --------------------------------------------------------
+
+    def _spread(self, entries: np.ndarray, r: int):
+        """Where found ``entries`` land in loop ``r``'s buckets: each
+        one's own bucket and both neighbours ``(E, 3)``, its response
+        there per unit value ``(E, 3)``, and its permuted position."""
+        n, B = self.n, self.B
+        nb = n // B
+        perm = self.plan.permutations[r]
+        f = self.keys[entries] & (n - 1)
+        p = f * perm.sigma & (n - 1)
+        d = (p + nb // 2) % nb - nb // 2   # offset from the bucket centre
+        g = self.plan.filt.freq[(_NEAR * nb - d[:, None]) & (n - 1)]
+        g *= (_turn(f * perm.tau & (n - 1), n) / n)[:, None]
+        return (((p - d) // nb)[:, None] + _NEAR) & (B - 1), g, p
+
+    def _merge(self, keys, vals, r, buckets) -> None:
+        """Add decoded ``(keys, vals)``: a coefficient found again is
+        corrected (a wrong decode peeled back out cancels), and values
+        peeled down to below the floor are dropped."""
+        if self.keys.size:
+            at = np.searchsorted(self.keys, keys)
+            old = self.keys[np.minimum(at, self.keys.size - 1)] == keys
+            self.vals[at[old]] += vals[old]
+            new = ~old
+            keys = np.concatenate([self.keys, keys[new]])
+            vals = np.concatenate([self.vals, vals[new]])
+            loops = np.concatenate([self.loops, np.full(int(new.sum()), r)])
+            buckets = np.concatenate([self.buckets, buckets[new]])
+        else:
+            loops = np.full(keys.size, r)
+        order = np.argsort(keys)
+        order = order[np.abs(vals[order])
+                      > self.floor[keys[order] // self.n] * self.n]
+        self.keys, self.vals = keys[order], vals[order]
+        self.loops, self.buckets = loops[order], buckets[order]
+        self.count = np.bincount(self.keys // self.n,
+                                 minlength=self.count.size)
+
+    def _solve(self, s: int, lo: int, hi: int) -> np.ndarray | None:
+        """Values of signal ``s`` (entries ``lo:hi``) from each one's
+        decode bucket, with every found coefficient's exact contribution
+        removed; ``None`` if the iteration does not converge (a NaN or an
+        overflow never does, and goes to voting, which rejects it)."""
+        n, nb = self.n, self.n // self.B
+        F = self.keys[lo:hi] - s * n
+        loops, buckets = self.loops[lo:hi], self.buckets[lo:hi]
+        # Row i of A is the equation of coefficient order[i] (grouped by
+        # decode loop); A[i, j] is coefficient j's response in it.
+        order = np.argsort(loops, kind="stable")
+        A = np.empty((F.size, F.size), dtype=np.complex128)
+        u = np.empty(F.size, dtype=np.complex128)
+        start = 0
+        for q, size in enumerate(np.bincount(loops).tolist()):
+            if not size:
+                continue
+            perm = self.plan.permutations[q]
+            m = buckets[order[start:start + size]]
+            block = A[start:start + size]
+            np.take(self.plan.filt.freq,
+                    (m[:, None] * nb - (F * perm.sigma & (n - 1))) & (n - 1),
+                    out=block)
+            block *= _turn(F * perm.tau & (n - 1), n) / n
+            u[start:start + size] = self.urows[s, q, m]
+            start += size
+        d = A[np.arange(F.size), order]
+        x = self.vals[lo:hi].copy()
+        scale = float(np.abs(x).max())
+        for _ in range(2 * int(self.rounds[s]) + 8):
+            # einsum, not A @ x: a multithreaded BLAS gemv oversubscribes
+            # the cores when the executor's workers solve at once.
+            dx = (u - np.einsum("ij,j->i", A, x)) / d
+            x[order] += dx
+            if np.abs(dx).max() <= _SOLVE_TOL * scale:
+                return x
+        return None
+
+    # -- results --------------------------------------------------------
+
+    def located(self, s: int):
+        """Signal ``s``'s solved ``(freqs, values, votes)``.  ``votes``
+        counts the loops that confirmed each frequency: the one it was
+        decoded in and every later loop it was peeled from."""
+        n = self.n
+        lo, hi = np.searchsorted(self.keys, [s * n, (s + 1) * n]).tolist()
+        return (self.keys[lo:hi] - s * n, self.vals[lo:hi],
+                self.rounds[s] - self.loops[lo:hi])

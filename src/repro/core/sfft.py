@@ -13,6 +13,8 @@ the optional Comb mask, then the six steps)
 5.   reverse hash + voting                 (:mod:`~repro.core.recovery`)
 6.   median magnitude reconstruction       (:mod:`~repro.core.estimation`)
 
+Exactly sparse signals are located by phase before steps 4-6
+(:mod:`repro.core.phase`) and skip them; every other signal runs all six.
 With a ``tracer`` it clocks each step as a span, which is how the paper's
 Figure 2 breakdown identifies perm+filter as the dominant cost.
 """
@@ -125,8 +127,10 @@ def sfft(
         can hold many transforms.  ``None`` (default) records nothing.
     metrics:
         Registry receiving the ``sfft.*`` metrics (bucket occupancy,
-        recovery votes/hits, collisions) of a traced call.  Defaults to
-        :func:`repro.obs.global_registry`.
+        recovery votes/hits, collisions, and the ``sfft.location.*``
+        route counters) of a traced call.  Defaults to
+        :func:`repro.obs.global_registry`, which also counts the routes
+        of untraced calls.
     verify:
         Debugging aid: additionally compute the dense FFT and raise
         :class:`~repro.errors.RecoveryError` unless the recovered support

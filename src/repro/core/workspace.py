@@ -15,10 +15,11 @@ For one plan the workspace precomputes
   kernel reads round by round.
 
 With those in place, :meth:`PlanWorkspace.bin_fused` performs the paper's
-steps 1-2 for *all* ``L`` loops as one fancy-indexed gather plus one
-reshape-sum — no Python-level loop over loops — and
-:meth:`PlanWorkspace.bin_fused_stack` applies it to each row of an
-``(S, n)`` stack for the pipeline engine (:mod:`repro.core.batch`).
+steps 1-2 for *all* ``L`` loops (or the loops from ``first`` on) as one
+``np.take`` gather plus one reshape-sum — no Python-level loop over
+loops — and, with ``shifted=True``, folds one loop plain and
+one-sample-shifted for the pipeline engine's phase-first location
+(:mod:`repro.core.batch`, :mod:`repro.core.phase`).
 
 This is the CPU analog of ``cusim``'s
 :class:`~repro.cusim.memory_pool.DeviceMemoryPool`: device codes keep
@@ -266,74 +267,74 @@ class PlanWorkspace:
     # -- fused binning -----------------------------------------------------
 
     @shape_contract(
-        "x:(n,) -> (L, B)", dtype="complex128",
+        "x:(n,) -> (M, B)", dtype="complex128",
         bind={"n": "self.n", "L": "self.loops", "B": "self.B",
               "rounds": "self.rounds"},
         attrs={"self.gather": "(L, rounds*B):int64",
                "self.taps_flat": "(rounds*B,):complex128",
                "self._padded": "rounds*B"},
     )
-    def bin_fused(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Steps 1-2 for all ``L`` loops at once: gather, tap, fold.
+    def bin_fused(
+        self,
+        x: np.ndarray,
+        out: np.ndarray | None = None,
+        *,
+        first: int = 0,
+        shifted: bool = False,
+    ) -> np.ndarray:
+        """Steps 1-2 for loops ``first..L-1`` at once: gather, tap, fold.
 
-        One ``(L, rounds*B)`` fancy-indexed gather replaces the per-loop
-        binner calls; the reshape-sum fold produces the same ``(L, B)``
-        bucket matrix as ``L`` :func:`~repro.core.binning.bin_vectorized`
-        calls (row for row).  With ``out`` omitted every call returns a
-        fresh array, so concurrent callers of one plan never share output.
+        One ``(L, rounds*B)`` ``np.take`` gather (the same bits as fancy
+        indexing, and faster) replaces the per-loop binner calls; the
+        reshape-sum fold produces the same ``(L, B)`` bucket matrix as
+        ``L`` :func:`~repro.core.binning.bin_vectorized` calls (row for
+        row).  ``first`` skips loops already binned: row
+        ``i`` is then loop ``first + i``, bit for bit the row a full call
+        returns.  With ``out`` omitted every call returns a fresh array,
+        so concurrent callers of one plan never share output.
+
+        ``shifted=True`` bins loop ``first`` alone as a ``(2, B)`` pair,
+        the phase-first location's input (:mod:`repro.core.phase`): row 0
+        is the plain fold, and row 1 folds the same gathered samples one
+        position on, ``x[(i+1)*sigma + tau]``, which needs one extra
+        sample past the window, ``w + 1`` reads in all.
         """
         if x.size != self.n:
             raise ParameterError(
                 f"signal length {x.size} != plan n={self.n}"
             )
-        if out is None:
-            buckets = np.empty((self.loops, self.B), dtype=np.complex128)
-        else:
-            buckets = out
-        if buckets.shape != (self.loops, self.B):
+        if not 0 <= first < self.loops:
             raise ParameterError(
-                f"out must have shape {(self.loops, self.B)}, got {buckets.shape}"
+                f"first={first} must be in [0, loops={self.loops})"
             )
-        gather = self.gather
-        if gather is not None:
-            y = x[gather]
-            y *= self.taps_flat
-            np.sum(y.reshape(self.loops, self.rounds, self.B), axis=1,
-                   out=buckets)
+        shape = (2 if shifted else self.loops - first, self.B)
+        buckets = np.empty(shape, dtype=np.complex128) if out is None else out
+        if buckets.shape != shape:
+            raise ParameterError(
+                f"out must have shape {shape}, got {buckets.shape}"
+            )
+        gather, taps = self.gather, self.taps_flat
+        if shifted:
+            idx = self._gather_row(first) if gather is None else gather[first]
+            xs = np.take(x, idx)
+            y = xs * taps
+            np.sum(y.reshape(self.rounds, self.B), axis=0, out=buckets[0])
+            np.multiply(xs[1:], taps[:-1], out=y[:-1])
+            step = self.plan.permutations[first].sigma
+            y[-1] = x[(idx[-1] + step) % self.n] * taps[-1]
+            np.sum(y.reshape(self.rounds, self.B), axis=0, out=buckets[1])
+        elif gather is not None:
+            y = np.take(x, gather[first:])
+            y *= taps
+            np.sum(y.reshape(self.loops - first, self.rounds, self.B),
+                   axis=1, out=buckets)
         else:
-            taps = self.taps_flat
-            for r in range(self.loops):
-                y = x[self._gather_row(r)]
+            for i, r in enumerate(range(first, self.loops)):
+                y = np.take(x, self._gather_row(r))
                 y *= taps
                 np.sum(y.reshape(self.rounds, self.B), axis=0,
-                       out=buckets[r])
+                       out=buckets[i])
         return buckets
-
-    @shape_contract(
-        "X:(S, n) -> (S, L, B)", dtype="complex128",
-        bind={"n": "self.n", "L": "self.loops", "B": "self.B",
-              "rounds": "self.rounds"},
-        attrs={"self.gather": "(L, rounds*B):int64",
-               "self.taps_flat": "(rounds*B,):complex128",
-               "self._padded": "rounds*B"},
-    )
-    def bin_fused_stack(self, X: np.ndarray) -> np.ndarray:
-        """Fused binning over an ``(S, n)`` signal stack -> ``(S, L, B)``.
-
-        Row ``s`` is :meth:`bin_fused` on ``X[s]``, written in place.  One
-        signal at a time keeps each gather a single fancy-indexed read of
-        a 1-D signal, which measured no slower than a 2-D gather over
-        several rows at n = 2^10-2^20, and up to 5x faster at small n.
-        """
-        X = np.asarray(X)
-        if X.ndim != 2 or X.shape[1] != self.n:
-            raise ParameterError(
-                f"signal stack must be (S, {self.n}), got {X.shape}"
-            )
-        out = np.empty((X.shape[0], self.loops, self.B), dtype=np.complex128)
-        for s, x in enumerate(X):
-            self.bin_fused(x, out=out[s])
-        return out
 
     @shape_contract(
         "x:(n,) -> (L, B)", dtype="complex128",

@@ -134,8 +134,9 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             run_ext_offgrid,
         ),
         ExperimentSpec(
-            "ext-exact", "Exactly-sparse phase decoding", "Section II-C / ref [3]",
-            "Extension: sFFT-3.0-style location without voting (noiseless).",
+            "ext-exact", "Phase-first location vs voting", "Section II-C / ref [3]",
+            "Extension: the engine's sFFT-3.0-style phase location against "
+            "its voting fallback, one plan.",
             run_ext_exact,
         ),
     )

@@ -44,7 +44,13 @@ from ..cusim.memory_pool import DeviceMemoryPool
 from ..cusim.stream import Event
 from ..cusim.timeline import GpuSimulation, TimelineReport
 from ..errors import ParameterError
-from ..obs import MetricsRegistry, Tracer, emit_sfft_metrics, global_registry
+from ..obs import (
+    MetricsRegistry,
+    Tracer,
+    count_locations,
+    emit_sfft_metrics,
+    global_registry,
+)
 from ..perf.counts import sfft_step_counts
 from ..utils.rng import RngLike
 from ..utils.validation import as_complex_signal
@@ -235,6 +241,7 @@ class CusFFT:
             votes=votes,
             permutations=list(plan.permutations[: p.voting_loops]),
         )
+        count_locations(registry, vote=1)
         report.emit_metrics(registry)
         if tracer is not None:
             tracer.add_timeline(report)

@@ -73,6 +73,7 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    count_locations,
     emit_sfft_metrics,
     global_registry,
 )
@@ -111,6 +112,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "emit_sfft_metrics",
+    "count_locations",
     "global_registry",
     "RUN_RECORD_SCHEMA",
     "atomic_append_text",

@@ -32,6 +32,7 @@ __all__ = [
     "MetricUpdate",
     "global_registry",
     "emit_sfft_metrics",
+    "count_locations",
 ]
 
 #: Subscription callback signature: ``(name, kind, value)`` per update.
@@ -262,6 +263,20 @@ _GLOBAL = MetricsRegistry()
 def global_registry() -> MetricsRegistry:
     """The process-wide default registry (used when none is passed)."""
     return _GLOBAL
+
+
+def count_locations(
+    registry: MetricsRegistry, *, phase: int = 0, vote: int = 0
+) -> None:
+    """Count transformed signals by how they were located, one per signal.
+
+    ``sfft.location.phase`` counts signals the phase-first step located
+    and certified (:mod:`repro.core.phase`); ``sfft.location.vote`` counts
+    those located by voting, the paper's algorithm.  Both counters are
+    always published, so a fallback to voting is never silent.
+    """
+    registry.counter("sfft.location.phase").inc(phase)
+    registry.counter("sfft.location.vote").inc(vote)
 
 
 def emit_sfft_metrics(

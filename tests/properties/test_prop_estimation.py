@@ -160,19 +160,28 @@ def test_shift_theorem(seed, shift):
     assert np.abs(b.values - expected).max() < 1e-6 * np.abs(a.values).max()
 
 
-@given(
-    st.integers(min_value=11, max_value=14).map(lambda p: 1 << p),
-    st.integers(min_value=1, max_value=12),
-    st.integers(min_value=0, max_value=2**31),
-)
-@settings(max_examples=12, deadline=None)
-def test_exact_phase_decoder_property(n, k, seed):
-    """The sFFT-3.0-style decoder recovers any exactly-sparse spectrum."""
-    from repro.core import sfft_exact
+@st.composite
+def _exactly_sparse_draw(draw):
+    """``(n, k, seed)`` with n = 2^10..2^16 and k up to n/64 (at most 64)."""
+    n = 1 << draw(st.integers(min_value=10, max_value=16))
+    k = draw(st.integers(min_value=1, max_value=min(64, n // 64)))
+    return n, k, draw(st.integers(min_value=0, max_value=2**31))
 
+
+@given(_exactly_sparse_draw())
+@settings(max_examples=25, deadline=None)
+def test_exact_phase_decoder_property(draw):
+    """Exactly sparse input: ``sfft`` locates it by phase, with the exact
+    support and values solved to within 1e-9 relative."""
+    from repro.obs import MetricsRegistry, Tracer
+
+    n, k, seed = draw
     sig = make_sparse_signal(n, k, seed=seed)
-    res, stats = sfft_exact(sig.time, k, seed=seed ^ 0xD00D)
+    plan = make_plan(n, k, seed=seed ^ 0xD00D)
+    registry = MetricsRegistry()
+    res = sfft(sig.time, plan=plan, tracer=Tracer(), metrics=registry)
+    assert registry.counter("sfft.location.phase").value == 1
     assert set(res.locations.tolist()) == set(sig.locations.tolist())
+    got = res.as_dict()
     for f, v in zip(sig.locations, sig.values):
-        assert abs(res.as_dict()[int(f)] - v) < 1e-6 * abs(v)
-    assert stats.rounds <= 12
+        assert abs(got[int(f)] - v) < 1e-9 * abs(v)

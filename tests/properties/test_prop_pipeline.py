@@ -1,7 +1,7 @@
 """Property-based tests for the sFFT pipeline invariants (hypothesis)."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -115,6 +115,10 @@ def test_componentwise_median_bounds(rows, cols, seed):
     st.integers(min_value=0, max_value=2**31),
 )
 @settings(max_examples=15, deadline=None)
+# The draw that used to miss the loose bound (f=8 and f=757 off by ~0.4
+# of |truth| under the median estimator of a capped filter); an exactly
+# sparse input is now located by phase and solved exactly.
+@example(n=1024, k=8, seed=16301455)
 def test_sfft_exact_recovery_property(n, k, seed):
     """End-to-end: any well-separated k-sparse signal is recovered exactly.
 

@@ -132,11 +132,14 @@ class TestLocLoopsSplit:
 
     def test_split_recovery_still_exact(self):
         from repro.core import sfft
-        from repro.signals import make_sparse_signal
+        from repro.signals import add_awgn, make_sparse_signal
 
+        # Noise keeps the signal on the voting path (an exactly sparse
+        # one is located by phase, where loc_loops plays no part).
         sig = make_sparse_signal(1 << 14, 16, seed=5)
+        x, _ = add_awgn(sig.time, 40.0, seed=5)
         plan = make_plan(1 << 14, 16, seed=6, loops=6, loc_loops=3)
-        res = sfft(sig.time, plan=plan)
+        res = sfft(x, plan=plan)
         assert set(res.locations.tolist()) == set(sig.locations.tolist())
         # Estimation still uses all 6 loops even though only 3 voted.
         assert res.votes.max() <= 3
@@ -155,14 +158,15 @@ class TestLocLoopsSplit:
         # Same plan filter/permutations; the split changes which loops
         # vote, not the estimates of commonly recovered frequencies.
         from repro.core import sfft
-        from repro.signals import make_sparse_signal
+        from repro.signals import add_awgn, make_sparse_signal
         import numpy as np
 
         sig = make_sparse_signal(1 << 13, 8, seed=7)
+        x, _ = add_awgn(sig.time, 40.0, seed=7)  # votes: see above
         full_plan = make_plan(1 << 13, 8, seed=8, loops=6)
-        a = sfft(sig.time, plan=full_plan)
+        a = sfft(x, plan=full_plan)
         split_params = derive_parameters(1 << 13, 8, loops=6, loc_loops=3)
         split_plan = make_plan(1 << 13, 8, seed=8, params=split_params)
-        b = sfft(sig.time, plan=split_plan)
+        b = sfft(x, plan=split_plan)
         assert (a.locations == b.locations).all()
         assert np.abs(a.values - b.values).max() < 1e-9 * np.abs(a.values).max()

@@ -1,0 +1,137 @@
+"""Phase-first location in the engine: its fallback, its stack-invariance.
+
+A signal the phase step does not certify runs the voting stages on the
+rows it would have folded itself, so its output must equal, bit for bit,
+cutoff + voting + median estimation run directly on ``bin_fused`` rows;
+and a stack mixing both routes must give the same bits serially, batched
+and sharded.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core import (
+    ShardedExecutor,
+    cutoff_rows,
+    estimate_values,
+    make_plan,
+    recover_locations,
+    sfft,
+    sfft_batch,
+)
+from repro.core.batch import SparseFFTResult
+from repro.obs import MetricsRegistry, Tracer
+from repro.signals import add_awgn, make_sparse_signal
+
+
+def _relative_noise(x, level, seed):
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
+    return x + e * (level * np.linalg.norm(x) / np.linalg.norm(e))
+
+
+def _voting_reference(x, plan):
+    """Steps 3-6 by hand on ``bin_fused`` rows: the parent engine's bits."""
+    params = plan.params
+    ws = plan.workspace()
+    rows = ws.bucket_fft(ws.bin_fused(x))
+    v = params.voting_loops
+    selected = cutoff_rows(np.abs(rows[:v]), params.select_count)
+    hits, votes = recover_locations(
+        selected, list(plan.permutations[:v]), params.B,
+        params.vote_threshold,
+    )
+    values = estimate_values(hits, rows, list(plan.permutations), plan.filt,
+                             params.B)
+    return SparseFFTResult(n=params.n, locations=hits, values=values,
+                           votes=votes).top(params.k)
+
+
+def _route(x, plan):
+    registry = MetricsRegistry()
+    res = sfft(x, plan=plan, tracer=Tracer(), metrics=registry)
+    return res, {name: registry.counter(f"sfft.location.{name}").value
+                 for name in ("phase", "vote")}
+
+
+def _same_bits(a, b):
+    for field in ("locations", "values", "votes"):
+        got, want = getattr(a, field), getattr(b, field)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
+            field
+
+
+@pytest.mark.parametrize("n,k", [(1 << 12, 8), (1 << 14, 16), (1 << 16, 64)])
+@pytest.mark.parametrize("noise", ["1e-4 relative", "20 dB"])
+def test_noisy_input_falls_back_to_voting_bit_for_bit(n, k, noise):
+    plan = make_plan(n, k, seed=n + k)
+    for seed in range(3):
+        x = make_sparse_signal(n, k, seed=seed).time
+        if noise == "20 dB":
+            x, _ = add_awgn(x, 20.0, seed=seed + 50)
+        else:
+            x = _relative_noise(x, 1e-4, seed + 50)
+        res, counts = _route(x, plan)
+        assert counts == {"phase": 0, "vote": 1}
+        _same_bits(res, _voting_reference(x, plan))
+
+
+def test_exact_input_is_located_by_phase():
+    n, k = 1 << 14, 16
+    plan = make_plan(n, k, seed=3)
+    sig = make_sparse_signal(n, k, seed=4)
+    res, counts = _route(sig.time, plan)
+    assert counts == {"phase": 1, "vote": 0}
+    np.testing.assert_array_equal(res.locations, np.sort(sig.locations))
+    want = dict(zip(sig.locations.tolist(), sig.values))
+    for f, v in zip(res.locations.tolist(), res.values):
+        assert abs(v - want[f]) <= 1e-9 * abs(want[f])
+
+
+def test_mixed_stack_same_bits_serial_batched_sharded():
+    n, k, S = 1 << 13, 8, 8
+    plan = make_plan(n, k, seed=11)
+    X = np.stack([make_sparse_signal(n, k, seed=100 + s).time
+                  for s in range(S)])
+    X[1], _ = add_awgn(X[1], 20.0, seed=1)
+    X[4] = _relative_noise(X[4], 1e-4, 4)
+    X[6], _ = add_awgn(X[6], 30.0, seed=6)
+
+    singles = [_route(x, plan) for x in X]
+    routes = [c["phase"] for _, c in singles]
+    assert routes == [1, 0, 1, 1, 0, 1, 0, 1]
+    batched = sfft_batch(X, plan=plan)
+    sharded = sfft_batch(X, plan=plan,
+                         executor=ShardedExecutor(workers=2, mode="thread"))
+    for s, (single, _) in enumerate(singles):
+        _same_bits(batched[s], single)
+        _same_bits(sharded[s], single)
+
+
+def test_unread_sample_cannot_change_a_phase_located_result():
+    # The phase route reads only the loops it ran: a NaN where only the
+    # plan's last loop reads is never touched by a signal certified
+    # before that loop.
+    n, k = 1 << 15, 4
+    plan = make_plan(n, k, seed=1)
+    gather = plan.workspace().gather
+    last_only = np.setdiff1d(gather[-1], gather[:-1])
+    assert last_only.size
+    clean = make_sparse_signal(n, k, seed=41).time
+    x = clean.copy()
+    x[last_only[0]] = np.nan
+    got, counts = _route(x, plan)
+    assert counts == {"phase": 1, "vote": 0}
+    _same_bits(got, sfft(clean, plan=plan))
+
+
+def test_screen_sends_noise_to_voting_after_one_loop():
+    n, k = 1 << 14, 16
+    plan = make_plan(n, k, seed=5)
+    x, _ = add_awgn(make_sparse_signal(n, k, seed=6).time, 20.0, seed=7)
+    tracer = Tracer()
+    sfft(x, plan=plan, tracer=tracer)
+    folds = [sp.attrs["loops"] for sp in tracer.spans
+             if sp.name == "perm_filter"]
+    # Loop 0 folded plain and shifted, then voting folds the rest.
+    assert folds == [1, plan.loops]

@@ -114,6 +114,50 @@ class TestWorkspaceMutation:
         assert _lint("self._gather = build()\n",
                      relpath="core/workspace.py") == []
 
+    _WORKSPACE = """
+        class PlanWorkspace:
+            def __init__(self, plan):
+                self.plan = plan
+                self._gather = None
+
+            @property
+            def gather(self):
+                if self._gather is None:
+                    self._gather = build(self.plan)
+                return self._gather
+
+            def clone(self):
+                twin = PlanWorkspace(self.plan)
+                twin._gather = self._gather
+                return twin
+
+            def adopt_shared(self, gather):
+                self._gather = gather
+    """
+
+    def test_workspace_setters_and_lazy_fills_are_clean(self):
+        assert _lint(self._WORKSPACE, relpath="core/workspace.py") == []
+
+    @pytest.mark.parametrize("method", [
+        "def bin_fused(self, x):\n    self._scratch = x",
+        "def bin_fused(self, x):\n    self.a, (self.b, y) = x",
+        "def bin_fused(self, x):\n    setattr(self, 'last', x)",
+        "@property\ndef buf(self):\n    self._buf = make()",
+    ])
+    def test_new_workspace_attribute_is_flagged(self, method):
+        # Negative fixture: per-call scratch cached on the shared
+        # workspace (the race the rule exists to keep out).
+        body = textwrap.indent(method, " " * 12)
+        findings = _lint(self._WORKSPACE + "\n" + body + "\n",
+                         relpath="core/workspace.py")
+        assert set(_rules(findings)) == {"workspace-mutation"}
+        assert "PlanWorkspace." in findings[0].message
+
+    def test_attribute_rule_applies_to_the_workspace_class_only(self):
+        source = self._WORKSPACE.replace("PlanWorkspace", "Other") \
+            + "\n            def run(self):\n                self.x = 1\n"
+        assert _lint(source, relpath="core/workspace.py") == []
+
 
 class TestWallclockInCore:
     def test_time_call_in_core_is_flagged(self):

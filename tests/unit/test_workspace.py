@@ -24,6 +24,7 @@ from repro.core import (
     sfft,
     sfft_batch,
 )
+from repro.core.batch import run_stack_pipeline
 from repro.core.workspace import GATHER_ELEMENT_CAP
 from repro.errors import ParameterError
 from repro.signals import make_sparse_signal
@@ -139,6 +140,31 @@ class TestBinFused:
         fallback = PlanWorkspace(plan_small, gather_cap=0).bin_fused(x)
         np.testing.assert_array_equal(fused, fallback)
 
+    @pytest.mark.parametrize("cap", [None, 0])
+    def test_first_and_shifted_rows(self, plan_small, rng, cap):
+        from repro.core.permutation import Permutation
+
+        x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+        ws = PlanWorkspace(plan_small, gather_cap=cap)
+        full = ws.bin_fused(x)
+        n, B = plan_small.n, plan_small.B
+        for r, perm in enumerate(plan_small.permutations):
+            # Later loops alone: the same rows, bit for bit.
+            np.testing.assert_array_equal(ws.bin_fused(x, first=r), full[r:])
+            pair = ws.bin_fused(x, first=r, shifted=True)
+            assert pair.shape == (2, B)
+            np.testing.assert_array_equal(pair[0], full[r])
+            # The shifted row bins the loop's permutation one step on.
+            step = Permutation(n=n, sigma=perm.sigma,
+                               sigma_inv=perm.sigma_inv,
+                               tau=(perm.tau + perm.sigma) % n)
+            np.testing.assert_allclose(
+                pair[1], bin_vectorized(x, plan_small.filt, B, step),
+                rtol=0, atol=1e-12 * np.abs(pair[1]).max(),
+            )
+        with pytest.raises(ParameterError):
+            ws.bin_fused(x, first=plan_small.loops)
+
     def test_fresh_output_per_call(self, plan_small, rng):
         x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
         ws = plan_small.workspace()
@@ -152,20 +178,24 @@ class TestBinFused:
         assert not hasattr(ws, "raw") and not hasattr(ws, "scores")
 
     def test_stack_rows_match_single(self, plan_small):
-        # 32 small signals: a stack many rows deep, where a 2-D gather
-        # would pack several signals into one read.
+        # 32 small signals: the engine folds loop 0 as a shifted pair and
+        # the voting loops from first=1 on; together they are the rows
+        # of one full fold.
         X = _signal_stack(1024, 4, 32)
         ws = plan_small.workspace()
-        stack = ws.bin_fused_stack(X)
-        for s in range(32):
-            np.testing.assert_array_equal(stack[s], ws.bin_fused(X[s]))
+        for x in X:
+            rows = np.concatenate([
+                ws.bin_fused(x, first=0, shifted=True)[:1],
+                ws.bin_fused(x, first=1),
+            ])
+            np.testing.assert_array_equal(rows, ws.bin_fused(x))
 
     def test_stack_estimates_match_single(self, plan_small):
         X = _signal_stack(1024, 4, 32)
         ws = plan_small.workspace()
         B, L = ws.B, ws.loops
         rows = ws.bucket_fft(
-            ws.bin_fused_stack(X).reshape(-1, B)
+            np.stack([ws.bin_fused(x) for x in X]).reshape(-1, B)
         ).reshape(32, L, B)
         perms = list(plan_small.permutations)
         rng = np.random.default_rng(3)
@@ -179,10 +209,16 @@ class TestBinFused:
             )
 
     def test_stack_fallback_matches(self, plan_small):
+        # The engine on regenerated gather rows (shifted pairs included)
+        # returns the materialized gather's bits.
         X = _signal_stack(1024, 4, 3)
-        full = plan_small.workspace().bin_fused_stack(X)
-        fallback = PlanWorkspace(plan_small, gather_cap=0).bin_fused_stack(X)
-        np.testing.assert_array_equal(full, fallback)
+        full = run_stack_pipeline(X, plan_small)
+        fallback = run_stack_pipeline(
+            X, plan_small, workspace=PlanWorkspace(plan_small, gather_cap=0)
+        )
+        for a, b in zip(full, fallback):
+            np.testing.assert_array_equal(a.locations, b.locations)
+            np.testing.assert_array_equal(a.values, b.values)
 
     def test_shape_validation(self, plan_small, rng):
         ws = plan_small.workspace()
@@ -192,7 +228,9 @@ class TestBinFused:
             ws.bin_fused(np.zeros(1024, dtype=np.complex128),
                          out=np.empty((1, 1), dtype=np.complex128))
         with pytest.raises(ParameterError):
-            ws.bin_fused_stack(np.zeros((2, 512), dtype=np.complex128))
+            ws.bin_fused(np.zeros(1024, dtype=np.complex128), first=1,
+                         shifted=True,
+                         out=np.empty((ws.loops - 1, ws.B), dtype=complex))
 
 
 class TestBatchEngine:
