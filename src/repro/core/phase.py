@@ -7,20 +7,27 @@ paper's reference [3]) does, from the plan's own loops, filter and
 gather, before any voting.  Rounds run in lockstep over the stack, one
 plan loop per round:
 
-* **shifted fold** — loop ``r``'s samples ``x[(i*sigma_r + tau_r) mod n]``
-  are folded twice (``PlanWorkspace.bin_fused(shifted=True)``): as usual
-  into ``U_r``, and one position on into ``V_r``, ``w + 1`` reads in all.
-  The shift multiplies the coefficient at permuted position
-  ``p = sigma_r*f mod n`` by ``e^{2 pi i p/n}``, and the filter response
-  cancels in ``V/U``;
-* **peel** (:meth:`PhaseStack.peel`) — the coefficients found in earlier
-  loops are subtracted from ``U`` and ``V``, in their own bucket and both
-  neighbours (the filter's transition band reaches one bucket out; past
-  it the response is below the tolerance);
+* **fold** — loop ``r``'s samples ``x[(i*sigma_r + tau_r) mod n]`` are
+  gathered once (``PlanWorkspace.window``) and folded as usual into
+  ``U_r`` (``PlanWorkspace.fold``); a signal that still decodes also
+  folds them one position on into ``V_r``
+  (``PlanWorkspace.fold_shifted``), ``w + 1`` reads in all.  The shift
+  multiplies the coefficient at permuted position ``p = sigma_r*f mod n``
+  by ``e^{2 pi i p/n}``, and the filter response cancels in ``V/U``;
+* **screen** (:meth:`PhaseStack.screen`, loop 0) — each signal's plain
+  loop-0 fold is transformed and screened first; only a signal that
+  passes folds loop 0 shifted, from the samples already gathered;
+* **peel** (:meth:`PhaseStack.peel`, :meth:`PhaseStack.peel_shifted`) —
+  the coefficients found in earlier loops are subtracted from ``U`` and
+  ``V``, in their own bucket and both neighbours (the filter's
+  transition band reaches one bucket out; past it the response is below
+  the tolerance);
 * **certify** — a signal is located once at least ``k`` coefficients
   are found, their values solved, and the *next* loop's buckets, with
   them peeled, all lie below the floor: a fresh permutation re-hashes
-  every coefficient, so a missing or a wrong one would show there;
+  every coefficient, so a missing or a wrong one would show there.  A
+  certificate round reads ``U`` alone (``w`` samples); only a failed
+  certificate gathers the loop again to fold ``V`` and decode on;
 * **cutoff** (:meth:`PhaseStack.cutoff`) — the live buckets are those
   above the floor, the analogue of voting's top-``m`` selection;
 * **decode** (:meth:`PhaseStack.decode`) — a live bucket ``m`` holds a
@@ -40,8 +47,11 @@ A signal goes to voting when loop 0 fails the screen (more than
 :data:`SCREEN_LIVE` live buckets per coefficient: noise lights every
 bucket), when no loop of the plan certifies it, or when its solve does
 not converge.  Loop 0 decoding nothing is no reason: with few buckets
-all coefficients can collide in one loop.  The loops it folded are kept, so voting sees
-the rows it would have binned itself and returns the same bits.
+all coefficients can collide in one loop.  The plain folds it made are
+kept, so voting sees the rows it would have binned itself and returns
+the same bits.  The order of the folds changes what is read, never a
+result: every signal takes the same loops and returns the same bits as
+with both folds made in every round.
 
 Every threshold is :data:`SLACK` times the plan's filter tolerance, the
 stop-band leakage each coefficient puts into every other bucket.  All
@@ -92,6 +102,7 @@ class PhaseStack:
         self.plan = plan
         params = plan.params
         self.n, self.B, self.k = params.n, params.B, params.k
+        self.freq = plan.filt.freq
         self.tol = SLACK * params.tolerance
         self.floor = np.zeros(S)
         self.keys = np.empty(0, dtype=np.int64)
@@ -106,57 +117,66 @@ class PhaseStack:
 
     # -- one round ------------------------------------------------------
 
+    def screen(self, s: int, u: np.ndarray) -> bool:
+        """Set signal ``s``'s floor from its loop-0 buckets ``u`` and say
+        whether it passes the screen: at most :data:`SCREEN_LIVE` live
+        buckets per coefficient."""
+        mags = np.abs(u)
+        floor = self.tol * mags.max()
+        self.floor[s] = floor
+        return np.count_nonzero(mags > floor) <= SCREEN_LIVE * self.k
+
     def solve(self, signals: np.ndarray) -> None:
         """Solve the values of ``signals`` (each with at least ``k``
         found) before the loop that may certify them."""
         n = self.n
         for s in signals.tolist():
-            lo, hi = np.searchsorted(self.keys, [s * n, (s + 1) * n]).tolist()
+            lo, hi = self.keys.searchsorted([s * n, (s + 1) * n]).tolist()
             x = self._solve(s, lo, hi)
             self.solved[s] = x is not None
             if x is not None:
                 self.vals[lo:hi] = x
 
-    def peel(self, running: np.ndarray, r: int, pairs: np.ndarray):
-        """Take loop ``r``'s bucket FFTs ``pairs`` (``(A, 2, B)``: plain
-        and shifted, one row pair per signal in ``running``, ascending)
-        and return them with the found coefficients peeled, ``(U, V)``,
-        and which signals this loop certifies."""
+    def peel(self, running: np.ndarray, r: int, U: np.ndarray):
+        """Take loop ``r``'s plain bucket FFTs ``U`` (``(A, B)``, one row
+        per signal in ``running``, ascending) and return them with the
+        found coefficients peeled, which signals this loop certifies, and
+        the peel's spread for :meth:`peel_shifted` (``None`` when there
+        is nothing to peel)."""
         n, B = self.n, self.B
         if self.urows is None:
             self.urows = np.empty((self.count.size, self.plan.loops, B),
                                   dtype=np.complex128)
-        self.urows[running, r] = pairs[:, 0]
+        self.urows[running, r] = U
         self.rounds[running] = r + 1
-        U, V = pairs[:, 0], pairs[:, 1]
+        done = np.zeros(running.size, dtype=bool)
+        if not self.keys.size:
+            return U, done, None
         sig = self.keys // n
         member = np.zeros(self.count.size, dtype=bool)
         member[running] = True
-        mine = np.flatnonzero(member[sig])
+        mine = member[sig].nonzero()[0]
         if not mine.size:
-            return U, V, np.zeros(running.size, dtype=bool)
+            return U, done, None
         idx, w, p = self._spread(mine, r)
-        idx += np.searchsorted(running, sig[mine])[:, None] * B
+        idx += running.searchsorted(sig[mine])[:, None] * B
         c = w * self.vals[mine, None]
         du = np.zeros(U.size, dtype=np.complex128)
         np.add.at(du, idx, c)
         U = U - du.reshape(U.shape)
         done = self.solved[running] \
             & (np.abs(U).max(axis=1) <= self.floor[running])
-        if not done.all():
-            dv = np.zeros(V.size, dtype=np.complex128)
-            np.add.at(dv, idx, c * _turn(p, n)[:, None])
-            V = V - dv.reshape(V.shape)
-        return U, V, done
+        return U, done, (idx, c, p)
 
-    def screen(self, running: np.ndarray, U: np.ndarray) -> np.ndarray:
-        """Set each signal's floor from its loop-0 buckets ``U`` and
-        return which pass the screen: at most :data:`SCREEN_LIVE` live
-        buckets per coefficient."""
-        mags = np.abs(U)
-        self.floor[running] = self.tol * mags.max(axis=1)
-        live = (mags > self.floor[running][:, None]).sum(axis=1)
-        return live <= SCREEN_LIVE * self.k
+    def peel_shifted(self, V: np.ndarray, spread) -> np.ndarray:
+        """Peel the shifted bucket FFTs ``V`` (rows as in :meth:`peel`)
+        with the spread :meth:`peel` returned."""
+        if spread is None:
+            return V
+        idx, c, p = spread
+        dv = np.zeros(V.size, dtype=np.complex128)
+        np.add.at(dv, idx, c * _turn(p, self.n)[:, None])
+        return V - dv.reshape(V.shape)
 
     def cutoff(self, running: np.ndarray, U: np.ndarray, done: np.ndarray):
         """Live buckets of the signals still decoding, as flat indices
@@ -168,7 +188,7 @@ class PhaseStack:
         for s, c, d in zip(running.tolist(), counts.tolist(), done.tolist()):
             if not d:
                 self.live[s].append(c)
-        return np.flatnonzero(live), mags.ravel()
+        return live.ravel().nonzero()[0], mags.ravel()
 
     def decode(self, running: np.ndarray, r: int, U: np.ndarray,
                V: np.ndarray, flat: np.ndarray, mags: np.ndarray):
@@ -176,15 +196,16 @@ class PhaseStack:
         n, B = self.n, self.B
         nb = n // B
         perm = self.plan.permutations[r]
-        a, b, mag = U.ravel()[flat], V.ravel()[flat], mags[flat]
+        a, b, mag = U.take(flat), V.take(flat), mags.take(flat)
         m = flat & (B - 1)
-        t = np.angle(b / a) * (n / (2 * np.pi))
+        q = b / a
+        t = np.arctan2(q.imag, q.real) * (n / (2 * np.pi))
         p = np.rint(t)
         ok = (np.abs(mag - np.abs(b)) <= self.tol * mag) \
             & (np.abs(t - p) <= _FRACTION)
         p = p.astype(np.int64) & (n - 1)
         h = (p + nb // 2) // nb
-        g = self.plan.filt.freq[(h * nb - p) & (n - 1)]
+        g = self.freq.take((h * nb - p) & (n - 1))
         ok &= ((h & (B - 1)) == m) & (np.abs(g) >= _PASSBAND)
         pos = flat[ok] // B
         f = p[ok] * perm.sigma_inv & (n - 1)
@@ -204,7 +225,7 @@ class PhaseStack:
         f = self.keys[entries] & (n - 1)
         p = f * perm.sigma & (n - 1)
         d = (p + nb // 2) % nb - nb // 2   # offset from the bucket centre
-        g = self.plan.filt.freq[(_NEAR * nb - d[:, None]) & (n - 1)]
+        g = self.freq.take((_NEAR * nb - d[:, None]) & (n - 1))
         g *= (_turn(f * perm.tau & (n - 1), n) / n)[:, None]
         return (((p - d) // nb)[:, None] + _NEAR) & (B - 1), g, p
 
@@ -213,7 +234,7 @@ class PhaseStack:
         corrected (a wrong decode peeled back out cancels), and values
         peeled down to below the floor are dropped."""
         if self.keys.size:
-            at = np.searchsorted(self.keys, keys)
+            at = self.keys.searchsorted(keys)
             old = self.keys[np.minimum(at, self.keys.size - 1)] == keys
             self.vals[at[old]] += vals[old]
             new = ~old
@@ -223,7 +244,7 @@ class PhaseStack:
             buckets = np.concatenate([self.buckets, buckets[new]])
         else:
             loops = np.full(keys.size, r)
-        order = np.argsort(keys)
+        order = keys.argsort()
         order = order[np.abs(vals[order])
                       > self.floor[keys[order] // self.n] * self.n]
         self.keys, self.vals = keys[order], vals[order]
@@ -241,7 +262,7 @@ class PhaseStack:
         loops, buckets = self.loops[lo:hi], self.buckets[lo:hi]
         # Row i of A is the equation of coefficient order[i] (grouped by
         # decode loop); A[i, j] is coefficient j's response in it.
-        order = np.argsort(loops, kind="stable")
+        order = loops.argsort(kind="stable")
         A = np.empty((F.size, F.size), dtype=np.complex128)
         u = np.empty(F.size, dtype=np.complex128)
         start = 0
@@ -251,9 +272,9 @@ class PhaseStack:
             perm = self.plan.permutations[q]
             m = buckets[order[start:start + size]]
             block = A[start:start + size]
-            np.take(self.plan.filt.freq,
-                    (m[:, None] * nb - (F * perm.sigma & (n - 1))) & (n - 1),
-                    out=block)
+            self.freq.take(
+                (m[:, None] * nb - (F * perm.sigma & (n - 1))) & (n - 1),
+                out=block)
             block *= _turn(F * perm.tau & (n - 1), n) / n
             u[start:start + size] = self.urows[s, q, m]
             start += size
@@ -276,6 +297,6 @@ class PhaseStack:
         counts the loops that confirmed each frequency: the one it was
         decoded in and every later loop it was peeled from."""
         n = self.n
-        lo, hi = np.searchsorted(self.keys, [s * n, (s + 1) * n]).tolist()
+        lo, hi = self.keys.searchsorted([s * n, (s + 1) * n]).tolist()
         return (self.keys[lo:hi] - s * n, self.vals[lo:hi],
                 self.rounds[s] - self.loops[lo:hi])

@@ -78,15 +78,17 @@ class TestBenchGateEndToEnd:
         assert gate.main(args) == 0
         assert "no confirmed regression" in capsys.readouterr().out
 
-        # 3. Slow the perm+filter binner (the paper's dominant step):
-        #    the gate must fail and name the step.
-        real_binner = PlanWorkspace.bin_fused
+        # 3. Slow the perm+filter gather (the paper's dominant step; the
+        #    exactly sparse input is located by phase, whose rounds gather
+        #    each loop through PlanWorkspace.window): the gate must fail
+        #    and name the step.
+        real_gather = PlanWorkspace.window
 
-        def slow_binner(*a, **kw):
+        def slow_gather(*a, **kw):
             time.sleep(0.01)
-            return real_binner(*a, **kw)
+            return real_gather(*a, **kw)
 
-        monkeypatch.setattr(PlanWorkspace, "bin_fused", slow_binner)
+        monkeypatch.setattr(PlanWorkspace, "window", slow_gather)
         runs.unlink()
         _write_runs(runs, plan, signal)
         assert gate.main(args) == 1

@@ -75,13 +75,15 @@ class TestAttributionEndToEnd:
         assert gate.main(args) == 0  # recording mode
         capsys.readouterr()
 
-        real_binner = PlanWorkspace.bin_fused
+        # Slow the loop gather the phase rounds of this exactly sparse
+        # input make through PlanWorkspace.window.
+        real_gather = PlanWorkspace.window
 
-        def slow_binner(*a, **kw):
+        def slow_gather(*a, **kw):
             time.sleep(0.01)
-            return real_binner(*a, **kw)
+            return real_gather(*a, **kw)
 
-        monkeypatch.setattr(PlanWorkspace, "bin_fused", slow_binner)
+        monkeypatch.setattr(PlanWorkspace, "window", slow_gather)
         runs.unlink()
         _write_runs(runs, plan, signal)
         assert gate.main(args) == 1

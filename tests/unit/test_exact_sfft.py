@@ -58,7 +58,8 @@ class TestExactRecovery:
         tracer = Tracer()
         sfft(sig.time, plan=plan, tracer=tracer)
         folds = [sp for sp in tracer.spans if sp.name == "perm_filter"]
-        # One plain and one shifted fold per loop: w + 1 samples each.
+        # At most w + 1 samples per fold span (loop 0's plain and shifted
+        # folds are two spans over one gather).
         assert all(sp.attrs["loops"] == 1 for sp in folds)
         assert len(folds) * (plan.filt.width + 1) \
             < plan.filt.width * plan.loops

@@ -156,6 +156,46 @@ def test_set_default_backend_reports_resolved_name():
     assert set_default_backend("broken-resolved") == "numpy"
 
 
+def test_set_default_backend_reaches_the_next_call(rng):
+    # The engine resolves the default backend once per call, never
+    # caching it: a switch mid-process reaches the next plan-less call and
+    # the next call on an explicit plan.
+    from repro.core import make_plan, sfft
+
+    calls = []
+
+    class Counting(FftBackend):
+        name = "counting"
+
+        def fft(self, a, *, axis=-1, workers=1):
+            calls.append(a.shape)
+            return np.fft.fft(a, axis=axis)
+
+        def ifft(self, a, *, axis=-1, workers=1):
+            return np.fft.ifft(a, axis=axis)
+
+    register_backend("counting", Counting)
+    n, k = 1 << 10, 4
+    plan = make_plan(n, k, seed=2)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    want = [sfft(x, k, seed=2), sfft(x, plan=plan)]
+    assert not calls
+    set_default_backend("counting")
+    got = []
+    for kwargs in ({"k": k, "seed": 2}, {"plan": plan}):
+        before = len(calls)
+        got.append(sfft(x, **kwargs))
+        assert len(calls) > before, kwargs
+    set_default_backend(None)
+    before = len(calls)
+    sfft(x, k, seed=2)
+    sfft(x, plan=plan)
+    assert len(calls) == before
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.locations, b.locations)
+        np.testing.assert_array_equal(a.values, b.values)
+
+
 def _tagged(tag):
     class Tagged(FftBackend):
         name = tag

@@ -130,8 +130,50 @@ def test_screen_sends_noise_to_voting_after_one_loop():
     plan = make_plan(n, k, seed=5)
     x, _ = add_awgn(make_sparse_signal(n, k, seed=6).time, 20.0, seed=7)
     tracer = Tracer()
-    sfft(x, plan=plan, tracer=tracer)
-    folds = [sp.attrs["loops"] for sp in tracer.spans
+    res = sfft(x, plan=plan, tracer=tracer)
+    folds = [sp.attrs for sp in tracer.spans if sp.name == "perm_filter"]
+    # Loop 0 folded once, plain: the screen runs before any shifted fold
+    # and fails it, then voting folds the rest.
+    assert [f["loops"] for f in folds] == [1, plan.loops]
+    assert not any(f.get("shifted") for f in folds)
+    _same_bits(res, _voting_reference(x, plan))
+
+
+#: Supports the parent engine (both folds in every round) gave the draws
+#: below.  Draw 2's two smallest coefficients nearly tie, so its trimmed
+#: support follows the plan's filter bits, which the default FFT backend
+#: synthesizes.
+_FAILED_CERTIFICATE_SUPPORT = {
+    2: {"numpy": [376, 447, 1069, 1371, 1693, 1847, 3332, 3424],
+        "scipy": [376, 447, 1069, 1221, 1371, 1693, 1847, 3332]},
+    46: [564, 897, 1019, 1115, 2054, 2247, 2546, 3703],
+    48: [198, 531, 1585, 2044, 2437, 2757, 2843, 3838],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_FAILED_CERTIFICATE_SUPPORT))
+def test_failed_certificate_folds_shifted_and_decodes_on(seed):
+    # A (k+1)-sparse draw: its first certificate round (loop 1, U alone)
+    # fails, so it gathers loop 1 again for the shifted fold and decodes
+    # on; loop 2 certifies it.  Route and support are the ones both
+    # folds in every round gave.
+    from repro.core.fft_backend import default_backend_name
+
+    n, k = 1 << 12, 8
+    plan = make_plan(n, k, seed=3)
+    sig = make_sparse_signal(n, k + 1, seed=seed)
+    registry = MetricsRegistry()
+    tracer = Tracer()
+    res = sfft(sig.time, plan=plan, tracer=tracer, metrics=registry)
+    folds = [sp.attrs.get("shifted") for sp in tracer.spans
              if sp.name == "perm_filter"]
-    # Loop 0 folded plain and shifted, then voting folds the rest.
-    assert folds == [1, plan.loops]
+    assert folds == [None, 1, 0, 1, 0]
+    assert {name: registry.counter(f"sfft.location.{name}").value
+            for name in ("phase", "vote")} == {"phase": 1, "vote": 0}
+    want = _FAILED_CERTIFICATE_SUPPORT[seed]
+    if isinstance(want, dict):
+        want = want.get(default_backend_name())
+    if want is None:
+        assert set(res.locations.tolist()) < set(sig.locations.tolist())
+    else:
+        assert res.locations.tolist() == want

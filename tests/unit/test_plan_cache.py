@@ -64,8 +64,10 @@ class TestKeying:
         cache = PlanCache()
         p1 = cache.get_or_make(N, K, seed=1)
         p2 = cache.get_or_make(N, K, seed=1, loops=p1.loops)
-        assert p1 is p2
-        assert cache.stats()["hits"] == 1
+        p3 = cache.get_or_make(N, K, seed=1, profile="accurate",
+                               tolerance=p1.params.tolerance)
+        assert p1 is p2 is p3
+        assert cache.stats()["hits"] == 2 and len(cache) == 1
 
     def test_default_backend_is_part_of_the_key(self):
         # A plan's lazily built workspace is bound to the backend in force;

@@ -76,6 +76,23 @@ class TestSfftDriverOptions:
         with pytest.raises(ParameterError, match="plan overrides"):
             sfft_batch([signal_small.time], plan=plan_small, **override)
 
+    def test_k_must_agree_with_a_given_plan(self, plan_small, signal_small):
+        # An explicit k that disagrees with the plan used to be ignored
+        # silently (the plan's k won); k == plan.k stays allowed.
+        from repro.core import sfft_batch
+
+        x, k = signal_small.time, plan_small.k
+        with pytest.raises(ParameterError, match="disagrees"):
+            sfft(x, 2 * k, plan=plan_small)
+        with pytest.raises(ParameterError, match="disagrees"):
+            sfft_batch([x], 2 * k, plan=plan_small)
+        want = sfft(x, plan=plan_small)
+        got = sfft(x, k, plan=plan_small)
+        (batched,) = sfft_batch([x], k, plan=plan_small)
+        for res in (got, batched):
+            np.testing.assert_array_equal(res.locations, want.locations)
+            np.testing.assert_array_equal(res.values, want.values)
+
     def test_profile_selects_the_plan_profile(self):
         # ``profile`` is a plan-derivation override like ``loops``: it
         # reaches the plan (the fast filter) and switches no timing on.

@@ -151,19 +151,34 @@ class TestBinFused:
         for r, perm in enumerate(plan_small.permutations):
             # Later loops alone: the same rows, bit for bit.
             np.testing.assert_array_equal(ws.bin_fused(x, first=r), full[r:])
-            pair = ws.bin_fused(x, first=r, shifted=True)
-            assert pair.shape == (2, B)
-            np.testing.assert_array_equal(pair[0], full[r])
+            samples = ws.window(x, r)
+            shifted = ws.fold_shifted(x, r, samples)
+            assert shifted.shape == (B,)
             # The shifted row bins the loop's permutation one step on.
             step = Permutation(n=n, sigma=perm.sigma,
                                sigma_inv=perm.sigma_inv,
                                tau=(perm.tau + perm.sigma) % n)
             np.testing.assert_allclose(
-                pair[1], bin_vectorized(x, plan_small.filt, B, step),
-                rtol=0, atol=1e-12 * np.abs(pair[1]).max(),
+                shifted, bin_vectorized(x, plan_small.filt, B, step),
+                rtol=0, atol=1e-12 * np.abs(shifted).max(),
             )
         with pytest.raises(ParameterError):
             ws.bin_fused(x, first=plan_small.loops)
+
+    @pytest.mark.parametrize("cap", [None, 0])
+    def test_single_loop_fold_matches_full_rows(self, plan_small, rng, cap):
+        # The phase route's one-loop plain fold is, bit for bit, the
+        # matching row of a full fold, with or without the gather matrix.
+        x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+        ws = PlanWorkspace(plan_small, gather_cap=cap)
+        full = plan_small.workspace().bin_fused(x)
+        out = np.empty(plan_small.B, dtype=np.complex128)
+        for r in range(plan_small.loops):
+            samples = ws.window(x, r)
+            assert samples.shape == (plan_small.rounds * plan_small.B,)
+            assert ws.fold(samples).tobytes() == full[r].tobytes()
+            assert ws.fold(samples, out=out) is out
+            assert out.tobytes() == full[r].tobytes()
 
     def test_fresh_output_per_call(self, plan_small, rng):
         x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
@@ -178,14 +193,14 @@ class TestBinFused:
         assert not hasattr(ws, "raw") and not hasattr(ws, "scores")
 
     def test_stack_rows_match_single(self, plan_small):
-        # 32 small signals: the engine folds loop 0 as a shifted pair and
-        # the voting loops from first=1 on; together they are the rows
-        # of one full fold.
+        # 32 small signals: the engine folds loop 0 alone and the voting
+        # loops from first=1 on; together they are the rows of one full
+        # fold.
         X = _signal_stack(1024, 4, 32)
         ws = plan_small.workspace()
         for x in X:
             rows = np.concatenate([
-                ws.bin_fused(x, first=0, shifted=True)[:1],
+                ws.fold(ws.window(x, 0))[None],
                 ws.bin_fused(x, first=1),
             ])
             np.testing.assert_array_equal(rows, ws.bin_fused(x))
@@ -229,8 +244,7 @@ class TestBinFused:
                          out=np.empty((1, 1), dtype=np.complex128))
         with pytest.raises(ParameterError):
             ws.bin_fused(np.zeros(1024, dtype=np.complex128), first=1,
-                         shifted=True,
-                         out=np.empty((ws.loops - 1, ws.B), dtype=complex))
+                         out=np.empty((ws.loops, ws.B), dtype=complex))
 
 
 class TestBatchEngine:
