@@ -8,7 +8,7 @@ import pytest
 from conftest import print_experiment, shared_plan, shared_signal
 from repro.core import sfft, sfft_batch
 from repro.dispatch import recommend_transform
-from repro.tuning import tune_parameters
+from repro.experiments.tuning import tune_parameters
 
 
 def test_autotuner_search(benchmark):

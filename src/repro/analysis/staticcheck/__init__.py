@@ -1,6 +1,6 @@
 """``reprolint`` — static analysis over the repo's own invariants.
 
-Three engines behind one structured finding format (``repro.lint/1``):
+Two engines behind one structured finding format (``repro.lint/1``):
 
 * the **kernel access checker** (:mod:`.races`, :mod:`.symbolic`) — turns
   the :mod:`repro.cusim.simt` load/store trace into a race detector
@@ -12,15 +12,15 @@ Three engines behind one structured finding format (``repro.lint/1``):
   ``src/repro`` enforcing the project contracts that PR 1–4 established
   only by convention (single FFT dispatch point, metric-name families,
   frozen workspace arrays, no wall-clock in ``core``/``gpu``, typed
-  errors at entry points, env reads only at config seams);
-* the **shape/dtype contract engine** (:mod:`.contracts`, :mod:`.shapes`)
-  — ``core/`` pipeline functions declare their dimensional laws with
-  ``@shape_contract``; an abstract interpreter certifies each body
-  statically, and ``REPRO_CHECK_CONTRACTS=1`` asserts the same
-  declarations at runtime.
+  errors at entry points, env reads only at config seams).
 
-``python -m repro lint`` (see :mod:`.cli`) runs all engines; findings can
+``python -m repro lint`` (see :mod:`.cli`) runs both engines; findings can
 be suppressed per line with ``# reprolint: ignore[rule]``.
+
+Shape/dtype contracts (:mod:`.contracts`) are checked at runtime only:
+``core/`` pipeline functions declare their dimensional laws with
+``@shape_contract``, and ``REPRO_CHECK_CONTRACTS=1`` asserts them against
+live arrays on every call.
 
 Re-exports are lazy (PEP 562): ``repro.core`` modules import
 :mod:`.contracts` at their own import time, and an eager ``from .races
@@ -53,18 +53,12 @@ _EXPORTS = {
     "fit_affine": ".symbolic",
     "prove_injective": ".symbolic",
     "prove_loop_partition_binner": ".symbolic",
-    "prove_product_equal": ".symbolic",
     "Contract": ".contracts",
     "Dim": ".contracts",
     "contract_for": ".contracts",
     "enforcement_enabled": ".contracts",
-    "registered_contracts": ".contracts",
     "set_enforcement": ".contracts",
     "shape_contract": ".contracts",
-    "SHAPE_RULES": ".shapes",
-    "REQUIRED_CONTRACTS": ".shapes",
-    "check_contract": ".shapes",
-    "check_contracts": ".shapes",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -2,15 +2,12 @@
 
 Usage::
 
-    python -m repro lint [paths...] [--json] [--no-kernels] [--no-shapes]
-                         [--root DIR]
+    python -m repro lint [paths...] [--json] [--no-kernels] [--root DIR]
 
-With no paths, lints every source file under ``src/repro``, runs the
+With no paths, lints every source file under ``src/repro`` and runs the
 kernel battery (Algorithm-2 binner trace + symbolic proof, naive-histogram
-negative control), and certifies every ``@shape_contract`` declaration
-statically (the shape engine, with its own transposed-reshape negative
-control).  Explicit paths lint just those files with the AST rules (the
-battery and the contract sweep are repo-level and skipped).
+negative control).  Explicit paths lint just those files with the AST
+rules (the battery is repo-level and skipped).
 
 ``--json`` emits one ``repro.lint/1`` record per finding (JSONL on
 stdout) for machine consumption — ``scripts/check_bench_json.py``
@@ -49,8 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="emit repro.lint/1 JSONL records")
     parser.add_argument("--no-kernels", action="store_true",
                         help="skip the kernel race battery (AST rules only)")
-    parser.add_argument("--no-shapes", action="store_true",
-                        help="skip the shape/dtype contract engine")
     return parser
 
 
@@ -85,10 +80,7 @@ def lint_main(argv: list[str]) -> int:
                 print(f"lint: no src/repro under root {root!r}",
                       file=sys.stderr)
                 return 2
-            findings = collect_findings(
-                root, kernels=not args.no_kernels,
-                shapes=not args.no_shapes,
-            )
+            findings = collect_findings(root, kernels=not args.no_kernels)
     except (OSError, SyntaxError, ParameterError) as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
@@ -103,7 +95,7 @@ def lint_main(argv: list[str]) -> int:
             print(finding.render())
         scope = "paths" if args.paths else "src/repro" + (
             "" if args.no_kernels else " + kernel battery"
-        ) + ("" if args.no_shapes else " + shape contracts")
+        )
         print(f"reprolint: {scope}: {len(errors)} error(s), "
               f"{len(warnings)} warning(s)")
     return 1 if errors else 0

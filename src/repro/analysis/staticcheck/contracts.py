@@ -1,4 +1,4 @@
-"""Shape/dtype contracts for the core numpy dataflow.
+"""Shape/dtype contracts for the core numpy dataflow, checked at runtime.
 
 The cusFFT pipeline is a chain of array transformations with exact
 dimensional laws: permute/filter gathers ``(L, rounds*B)`` windows,
@@ -11,16 +11,11 @@ lets those laws be *declared* at the function boundary::
                     bind={"n": "self.n", "L": "self.loops", "B": "self.B"})
     def bin_fused(self, x, out=None): ...
 
-and consumed twice:
-
-* **statically** — :mod:`.shapes` abstract-interprets each decorated
-  body, propagating symbolic shapes through the repo's numpy idioms and
-  discharging dimension equalities with :func:`..symbolic.prove_product_equal`;
-* **dynamically** — with ``REPRO_CHECK_CONTRACTS=1`` (or
-  :func:`set_enforcement`), a thin wrapper binds the symbolic dims
-  against live arrays on every call and raises
-  :class:`~repro.errors.ContractError` on drift, so the static and
-  runtime views of the same declaration can never disagree silently.
+With ``REPRO_CHECK_CONTRACTS=1`` (or :func:`set_enforcement`), a thin
+wrapper binds the symbolic dims against live arrays on every call and
+raises :class:`~repro.errors.ContractError` on drift.  With enforcement
+off the wrapper is a pass-through.  CI runs the whole tier-1 suite with
+enforcement on.
 
 Grammar
 -------
@@ -29,15 +24,12 @@ Grammar
 * a *dim* is a product of integer literals and symbols: ``n``, ``4``,
   ``S*L``, ``rounds*B``;
 * ``*`` leaves a shape unconstrained (the arg/return still participates
-  in dtype checks and static dataflow);
+  in dtype checks);
 * an output of ``@self.shape`` defers to a runtime attribute (used by
   ``SharedArraySpec.as_array``, whose shape *is* its spec field);
 * ``bind`` maps symbols to runtime paths (``"plan.n"``,
   ``"permutations[0].n"``, ``"len(selected)"``) so dims can be pinned
-  from non-array arguments;
-* ``attrs`` declares shapes/dtypes of attributes the body reads
-  (``{"self.gather": "(L, rounds*B):int64", "self._padded": "rounds*B"}``) —
-  the static checker's window into instance state.
+  from non-array arguments.
 """
 
 from __future__ import annotations
@@ -62,10 +54,8 @@ __all__ = [
     "ShapeSpec",
     "contract_for",
     "enforcement_enabled",
-    "parse_attr_spec",
     "parse_dim",
     "parse_shape_spec",
-    "registered_contracts",
     "set_enforcement",
     "shape_contract",
 ]
@@ -128,13 +118,6 @@ class Dim:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "syms", tuple(sorted(self.syms)))
-
-    def times(self, other: "Dim") -> "Dim":
-        return Dim(self.coeff * other.coeff, self.syms + other.syms)
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.syms
 
     def render(self) -> str:
         parts = list(self.syms)
@@ -244,19 +227,6 @@ def parse_shape_spec(text: str) -> ShapeSpec:
     raise ParameterError(f"malformed shape spec {text!r}")
 
 
-def parse_attr_spec(text: str) -> "ShapeSpec | DimLike":
-    """Parse an ``attrs`` value: an array spec or a bare scalar dim.
-
-    ``"(L, B):complex128"`` describes an array attribute; a bare product
-    like ``"rounds*B"`` describes an integer attribute whose value the
-    body may use as a dimension.
-    """
-    text = text.strip()
-    if text.startswith(("(", "*", "@")):
-        return parse_shape_spec(text)
-    return parse_dim(text)
-
-
 def _parse_contract_spec(spec: str) -> tuple[tuple[ArgSpec, ...], ShapeSpec]:
     if "->" not in spec:
         raise ParameterError(f"contract spec missing '->': {spec!r}")
@@ -286,44 +256,12 @@ class Contract:
     inputs: tuple[ArgSpec, ...]
     output: ShapeSpec
     bind: dict[str, str] = field(default_factory=dict)
-    attrs: dict[str, str] = field(default_factory=dict)
-    expect_violation: bool = False
-    fn: Callable[..., Any] | None = None
-    name: str = ""
     qualname: str = ""
     module: str = ""
-    is_method: bool = False
 
     @property
     def key(self) -> str:
         return f"{self.module}.{self.qualname}"
-
-    def attr_specs(self) -> dict[str, "ShapeSpec | DimLike"]:
-        return {path: parse_attr_spec(text) for path, text in self.attrs.items()}
-
-    def symbols(self) -> frozenset[str]:
-        """Every symbol this contract mentions — its global vocabulary."""
-        names: set[str] = set(self.bind)
-        specs: list[ShapeSpec] = [arg.spec for arg in self.inputs]
-        specs.append(self.output)
-        for parsed in self.attr_specs().values():
-            if isinstance(parsed, ShapeSpec):
-                specs.append(parsed)
-            elif isinstance(parsed, Dim):
-                names.update(parsed.syms)
-        for shape in specs:
-            for dim in shape.dims or ():
-                if isinstance(dim, Dim):
-                    names.update(dim.syms)
-        return frozenset(names)
-
-
-_REGISTRY: dict[str, Contract] = {}
-
-
-def registered_contracts() -> tuple[Contract, ...]:
-    """All contracts registered by imported modules, in import order."""
-    return tuple(_REGISTRY.values())
 
 
 def contract_for(fn: Callable[..., Any]) -> Contract | None:
@@ -548,15 +486,11 @@ def shape_contract(
     *,
     dtype: str | None = None,
     bind: Mapping[str, str] | None = None,
-    attrs: Mapping[str, str] | None = None,
-    expect_violation: bool = False,
 ) -> Callable[[_F], _F]:
     """Declare a shape/dtype contract on a function (see module docstring).
 
     ``dtype`` constrains the return value (shorthand for an output
-    ``:dtype`` suffix).  ``expect_violation=True`` marks a seeded
-    negative control: the static checker must find a violation in the
-    body or it emits a ``shape-checker-selfcheck`` error.
+    ``:dtype`` suffix).
     """
     inputs, output = _parse_contract_spec(spec)
     if dtype is not None:
@@ -570,24 +504,18 @@ def shape_contract(
         inputs=inputs,
         output=output,
         bind=dict(bind or {}),
-        attrs=dict(attrs or {}),
-        expect_violation=expect_violation,
     )
 
     def decorate(fn: _F) -> _F:
-        contract.fn = fn
-        contract.name = fn.__name__
         contract.qualname = fn.__qualname__
         contract.module = fn.__module__
         parameters = list(inspect.signature(fn).parameters)
-        contract.is_method = bool(parameters) and parameters[0] == "self"
         for arg in contract.inputs:
             if arg.name not in parameters:
                 raise ParameterError(
                     f"{contract.key}: contract names unknown parameter "
                     f"{arg.name!r}"
                 )
-        _REGISTRY[contract.key] = contract
 
         @functools.wraps(fn)
         def wrapper(*args: Any, **kwargs: Any) -> Any:

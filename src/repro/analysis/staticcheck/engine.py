@@ -12,13 +12,10 @@ project's kernel contracts:
   ``race-detector-selfcheck`` error, so a silently broken detector cannot
   produce a green lint.
 
-:func:`~repro.analysis.staticcheck.shapes.check_contracts` is the third
-engine: it certifies every ``@shape_contract`` declaration in ``core/``
-against its function body (with its own transposed-reshape negative
-control inside ``workspace.py``).
-
-All three feed :func:`collect_findings`, the single entry ``python -m
-repro lint`` and ``scripts/lint_gate.py`` share.
+Both feed :func:`collect_findings`, the single entry ``python -m repro
+lint`` and ``scripts/lint_gate.py`` share.  Shape/dtype contracts are not
+a lint engine: :mod:`.contracts` checks them against live arrays at
+runtime.
 """
 
 from __future__ import annotations
@@ -142,13 +139,10 @@ def kernel_battery() -> list[Finding]:
 
 
 def collect_findings(
-    root: str | None = None, *, kernels: bool = True, shapes: bool = True
+    root: str | None = None, *, kernels: bool = True
 ) -> list[Finding]:
-    """Everything ``python -m repro lint`` reports: all engines' findings."""
+    """Everything ``python -m repro lint`` reports: both engines' findings."""
     findings = lint_tree(root)
     if kernels:
         findings.extend(kernel_battery())
-    if shapes:
-        from .shapes import check_contracts
-        findings.extend(check_contracts(root))
     return findings

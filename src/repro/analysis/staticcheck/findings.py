@@ -53,7 +53,7 @@ class Finding:
     path: str               # repo-relative, posix separators
     line: int
     message: str
-    engine: str = "ast"     # "ast" | "race" | "shape"
+    engine: str = "ast"     # "ast" | "race"
     col: int = 0
 
     def __post_init__(self) -> None:
@@ -157,8 +157,8 @@ def validate_lint_record(record: object) -> list[str]:
                             f"got {value!r}")
     if not (isinstance(record.get("message"), str) and record["message"]):
         problems.append("message must be a non-empty string")
-    if record.get("engine") not in ("ast", "race", "shape"):
-        problems.append(f"engine must be 'ast', 'race', or 'shape', "
+    if record.get("engine") not in ("ast", "race"):
+        problems.append(f"engine must be 'ast' or 'race', "
                         f"got {record.get('engine')!r}")
     return problems
 

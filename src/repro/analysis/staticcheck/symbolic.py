@@ -40,7 +40,6 @@ __all__ = [
     "fit_affine",
     "prove_injective",
     "prove_loop_partition_binner",
-    "prove_product_equal",
 ]
 
 
@@ -151,59 +150,6 @@ def prove_loop_partition_binner(B: int | None = None) -> Proof:
             "[0, B): scale 1 gives gcd(1, B) == 1 for every B, so the "
             "injectivity bound B//gcd == B covers all B threads — "
             "collision-free for all bucket counts without atomics"
-        ),
-    )
-
-
-def prove_product_equal(
-    left: tuple[int, tuple[str, ...]],
-    right: tuple[int, tuple[str, ...]],
-) -> Proof:
-    """Decide equality of two symbolic dimension products.
-
-    Each side is a product normal form ``(coeff, symbols)`` — the shape
-    engine's dims (``repro.analysis.staticcheck.contracts.Dim``) reduced
-    to sorted symbol tuples, so commutativity is already discharged
-    structurally (``rounds*B`` and ``B*rounds`` arrive identical).
-
-    Dimension symbols range over *positive* integers, which gives the
-    three-way verdict its force:
-
-    * identical normal forms — equal for every assignment
-      (``collision_free=True, universal=True``);
-    * same symbols, different coefficients — ``a*P != b*P`` whenever
-      ``P >= 1``, so the inequality is itself universal
-      (``collision_free=False, universal=True``);
-    * different symbol multisets — ``S*L`` vs ``S*v`` agree for *some*
-      assignments and differ for others; equality is not provable and
-      the prover refuses (``collision_free=False, universal=False``).
-
-    ``collision_free`` is read as "equality proven" here — the shape
-    engine reuses :class:`Proof` so reshape-conservation verdicts carry
-    the same universal/constructive distinction as the kernel proofs.
-    """
-    lc, ls = left[0], tuple(sorted(left[1]))
-    rc, rs = right[0], tuple(sorted(right[1]))
-    render_l = "*".join((str(lc),) + ls)
-    render_r = "*".join((str(rc),) + rs)
-    if ls == rs and lc == rc:
-        return Proof(
-            collision_free=True, universal=True,
-            reason=f"{render_l} == {render_r}: identical product normal forms",
-        )
-    if ls == rs:
-        return Proof(
-            collision_free=False, universal=True,
-            reason=(
-                f"{render_l} != {render_r}: same symbols, coefficients "
-                f"{lc} != {rc} — unequal for every positive assignment"
-            ),
-        )
-    return Proof(
-        collision_free=False, universal=False,
-        reason=(
-            f"cannot prove {render_l} == {render_r}: symbol multisets "
-            f"differ, equality depends on the assignment"
         ),
     )
 

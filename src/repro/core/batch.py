@@ -121,10 +121,17 @@ class SparseFFTResult:
         return spec
 
     def top(self, k: int) -> "SparseFFTResult":
-        """Restrict to the ``k`` largest-magnitude coefficients."""
+        """Restrict to the ``k`` largest-magnitude coefficients.
+
+        ``k = 0`` gives an empty result; a negative ``k`` raises
+        :class:`~repro.errors.ParameterError`.
+        """
+        if k < 0:
+            raise ParameterError(f"top(k) needs k >= 0, got {k}")
         if k >= self.k_found:
             return self
-        order = np.argpartition(np.abs(self.values), -k)[-k:]
+        # Slice from k_found - k, not -k: [-0:] would keep everything.
+        order = np.argpartition(np.abs(self.values), -k)[self.k_found - k:]
         order = order[np.argsort(self.locations[order])]
         return SparseFFTResult(
             n=self.n,

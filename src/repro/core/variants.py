@@ -43,6 +43,7 @@ def isfft(x, k: int | None = None, **kwargs) -> SparseFFTResult:
         values=np.conj(res.values) / res.n,
         votes=res.votes,
         step_times=res.step_times,
+        trace=res.trace,
     )
 
 
@@ -56,7 +57,9 @@ def rsfft(x, k: int | None = None, **kwargs) -> SparseFFTResult:
     always symmetric and ``ifft`` of the dense form is exactly real.
     """
     arr = np.asarray(x)
-    if np.iscomplexobj(arr) and np.abs(arr.imag).max() > 0:
+    # ``!= 0`` rather than a magnitude max: a NaN imaginary part counts as
+    # non-real, and an empty input falls through to sfft's own check.
+    if np.iscomplexobj(arr) and (arr.imag != 0).any():
         raise ParameterError("rsfft expects a real signal")
     res = sfft(arr.real, k, **kwargs)
     n = res.n
@@ -82,7 +85,8 @@ def rsfft(x, k: int | None = None, **kwargs) -> SparseFFTResult:
     vals = np.array([sym[int(f)] for f in locs], dtype=np.complex128)
     vts = np.array([votes.get(int(f), votes.get(int((-f) % n), 0)) for f in locs])
     return SparseFFTResult(
-        n=n, locations=locs, values=vals, votes=vts, step_times=res.step_times
+        n=n, locations=locs, values=vals, votes=vts,
+        step_times=res.step_times, trace=res.trace,
     )
 
 

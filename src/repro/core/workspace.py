@@ -164,7 +164,6 @@ class PlanWorkspace:
     @shape_contract(
         "r:* -> (rounds*B,)", dtype="int64",
         bind={"rounds": "self.rounds", "B": "self.B"},
-        attrs={"self._padded": "rounds*B"},
     )
     def _gather_row(self, r: int) -> np.ndarray:
         return permuted_indices(self.plan.permutations[r], self._padded)
@@ -287,9 +286,6 @@ class PlanWorkspace:
         "x:(n,) -> (M, B)", dtype="complex128",
         bind={"n": "self.n", "L": "self.loops", "B": "self.B",
               "rounds": "self.rounds"},
-        attrs={"self.gather": "(L, rounds*B):int64",
-               "self.taps_flat": "(rounds*B,):complex128",
-               "self._padded": "rounds*B"},
     )
     def bin_fused(
         self,
@@ -362,28 +358,3 @@ class PlanWorkspace:
         np.multiply(samples[1:], taps[:-1], out=y[:-1])
         y[-1] = x[(self._padded * perm.sigma + perm.tau) % self.n] * taps[-1]
         return np.add.reduce(y.reshape(self.rounds, self.B), axis=0, out=out)
-
-    @shape_contract(
-        "x:(n,) -> (L, B)", dtype="complex128",
-        bind={"n": "self.n", "L": "self.loops", "B": "self.B",
-              "rounds": "self.rounds"},
-        attrs={"self.gather": "(L, rounds*B):int64",
-               "self.taps_flat": "(rounds*B,):complex128"},
-        expect_violation=True,
-    )
-    def _selfcheck_transposed_fold(self, x: np.ndarray) -> np.ndarray:
-        """Negative control for the shape checker — never call this.
-
-        A deliberately transposed fold: the reshape conserves elements
-        (so reshape-conservation alone cannot catch it) but the result is
-        ``(B, L)`` where the contract — and every real consumer — demands
-        ``(L, B)``.  The static checker must flag the return or
-        ``shape-checker-selfcheck`` fires, exactly as the naive histogram
-        keeps the race detector honest.  Runtime enforcement rejects it
-        too: under ``REPRO_CHECK_CONTRACTS=1`` calling this raises
-        :class:`~repro.errors.ContractError`.
-        """
-        y = x[self.gather]
-        y *= self.taps_flat
-        folded = np.sum(y.reshape(self.loops, self.rounds, self.B), axis=1)
-        return folded.reshape(self.B, self.loops)

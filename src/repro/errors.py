@@ -25,7 +25,7 @@ class ParameterError(ReproError, ValueError):
 class ContractError(ParameterError):
     """A declared shape/dtype contract was violated at runtime.
 
-    Raised by the runtime half of the contract engine
+    Raised by the runtime contract check
     (:mod:`repro.analysis.staticcheck.contracts`, enabled with
     ``REPRO_CHECK_CONTRACTS=1``) when an array crossing a
     ``@shape_contract``-decorated boundary does not satisfy the declared

@@ -35,10 +35,10 @@ from ..gpu.config import OPTIMIZED
 from ..gpu.cusfft import CusFFT
 from ..signals.noise import add_awgn
 from ..signals.sparse import make_sparse_signal
-from ..tuning import tune_parameters
 from ..utils.modmath import ilog2
 from ..utils.tables import format_ratio, format_seconds
 from .base import ExperimentResult, paper_kwargs
+from .tuning import tune_parameters
 
 __all__ = [
     "run_ext_devices",

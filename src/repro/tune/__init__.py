@@ -15,8 +15,9 @@ itself* per workload class and the core transparently picks the winners.
 Consumption lives in :mod:`repro.core.params` (the resolution seam):
 explicit kwargs > wisdom store (``$REPRO_WISDOM``) > paper defaults.
 
-Note the existing :mod:`repro.tuning` is the *modeled* (analytic) tuner;
-this package is its measured counterpart, the FFTW-wisdom analogue.
+Note :mod:`repro.experiments.tuning` is the *modeled* (analytic) tuner
+behind the ``ext-tuning`` study; this package is its measured
+counterpart, the FFTW-wisdom analogue.
 """
 
 from .candidates import (

@@ -11,9 +11,10 @@ from repro.core.permutation import random_permutation
 from repro.cpu import CPU_DEVICES, SANDY_BRIDGE_E5_2640, XEON_PHI_5110P, PsFFT
 from repro.cusim import GPU_DEVICES, KEPLER_K20X, KEPLER_K40, MAXWELL_M40
 from repro.errors import ParameterError
+from repro.experiments.tuning import candidate_bucket_counts, tune_parameters
 from repro.gpu import CusFFT, OPTIMIZED
+from repro.obs import Tracer
 from repro.signals import make_sparse_signal
-from repro.tuning import candidate_bucket_counts, tune_parameters
 
 
 class TestCombSpectrum:
@@ -100,6 +101,13 @@ class TestInverseTransform:
         for f, v in zip(locs, vals):
             assert abs(res.as_dict()[int(f)] - v) < 1e-6 * max(1.0, abs(v))
 
+    def test_traced_isfft_carries_the_trace(self):
+        tracer = Tracer()
+        res = isfft(np.fft.fft(make_sparse_signal(1 << 10, 3, seed=4).time),
+                    3, seed=5, tracer=tracer)
+        assert res.trace is tracer
+        assert res.step_times is not None
+
     def test_isfft_matches_numpy_ifft(self):
         n, k = 1 << 12, 3
         sig = make_sparse_signal(n, k, seed=4)
@@ -127,6 +135,24 @@ class TestRealTransform:
     def test_rejects_complex_input(self):
         with pytest.raises(ParameterError):
             rsfft(np.exp(1j * np.arange(64)), 2)
+
+    def test_rejects_nan_imaginary_part(self):
+        """A NaN compares False against 0, so a max-based check let it by."""
+        x = np.cos(2 * np.pi * 300 * np.arange(1 << 12) / (1 << 12)) + 0j
+        x.imag[5] = np.nan
+        with pytest.raises(ParameterError, match="real signal"):
+            rsfft(x, 8)
+
+    def test_rejects_empty_complex_input(self):
+        with pytest.raises(ParameterError):
+            rsfft(np.zeros(0, dtype=np.complex128), 8)
+
+    def test_traced_rsfft_carries_the_trace(self):
+        tracer = Tracer()
+        x = np.cos(2 * np.pi * 300 * np.arange(1 << 10) / (1 << 10))
+        res = rsfft(x, 2, seed=6, tracer=tracer)
+        assert res.trace is tracer
+        assert res.step_times is not None
 
     def test_dc_kept_real(self):
         n = 1 << 10

@@ -241,6 +241,20 @@ class TestSparseFFTResult:
         )
         assert res.top(5) is res
 
+    def test_top_zero_is_empty_and_negative_k_raises(self):
+        res = SparseFFTResult(
+            n=16,
+            locations=np.array([1, 2, 3], dtype=np.int64),
+            values=np.array([1.0, 10.0, 5.0], dtype=complex),
+            votes=np.array([4, 4, 4]),
+        )
+        empty = res.top(0)
+        assert empty.k_found == 0
+        assert empty.locations.dtype == np.int64
+        assert empty.values.dtype == np.complex128
+        with pytest.raises(ParameterError, match="k >= 0"):
+            res.top(-1)
+
     def test_reconstruct_time_inverts(self):
         sig = make_sparse_signal(512, 3, seed=21)
         res = sfft(sig.time, 3, seed=22)

@@ -1,4 +1,4 @@
-"""Edge cases of the symbolic index/shape machinery.
+"""Edge cases of the symbolic index machinery.
 
 The happy paths (identity store schedule, universal binner theorem, the
 data-dependent refusal) live with the race-battery tests; this file pins
@@ -9,9 +9,7 @@ the boundary behavior the provers' soundness rests on:
   non-coprime scales alike;
 * :func:`fit_affine` returns ``None`` (never a wrong theorem) on every
   degenerate trace shape — empty, conflicting duplicates, schedules that
-  fit on two points but fail verification;
-* :func:`prove_product_equal` keeps its three-way verdict straight —
-  proofs and refutations are universal, everything else is a refusal.
+  fit on two points but fail verification.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from repro.analysis.staticcheck.symbolic import (
     binner_load_index,
     fit_affine,
     prove_injective,
-    prove_product_equal,
 )
 from repro.errors import ParameterError
 
@@ -152,47 +149,3 @@ class TestFitAffineDegenerateTraces:
         with pytest.raises(ParameterError):
             AffineIndex(1, 0, 0)
 
-
-class TestProveProductEqual:
-    """The three-way verdict: proof / universal refutation / refusal."""
-
-    def test_identical_forms_are_universally_equal(self):
-        proof = prove_product_equal((1, ("B", "S")), (1, ("S", "B")))
-        assert proof.collision_free and proof.universal
-
-    def test_coefficients_multiply_through(self):
-        proof = prove_product_equal((6, ("S",)), (6, ("S",)))
-        assert proof.collision_free and proof.universal
-
-    def test_same_symbols_different_coeff_is_universal_inequality(self):
-        """``2S != 3S`` for every positive ``S`` — refuted, universally."""
-        proof = prove_product_equal((2, ("S",)), (3, ("S",)))
-        assert not proof.collision_free
-        assert proof.universal
-
-    def test_different_symbols_is_a_refusal_not_a_refutation(self):
-        """``S*L`` vs ``S*v``: equal under some assignments, so no verdict."""
-        proof = prove_product_equal((1, ("S", "L")), (1, ("S", "v")))
-        assert not proof.collision_free
-        assert not proof.universal
-
-    def test_symbol_multiplicity_matters(self):
-        """``S*S`` and ``S`` coincide only at ``S == 1`` — refusal."""
-        proof = prove_product_equal((1, ("S", "S")), (1, ("S",)))
-        assert not proof.collision_free
-        assert not proof.universal
-
-    def test_pure_constants(self):
-        assert prove_product_equal((4, ()), (4, ())).collision_free
-        refuted = prove_product_equal((4, ()), (5, ()))
-        assert not refuted.collision_free
-        assert refuted.universal
-
-    def test_unsorted_symbol_tuples_normalize(self):
-        """Callers need not pre-sort; the prover normalizes both sides."""
-        proof = prove_product_equal((2, ("c", "a", "b")), (2, ("b", "c", "a")))
-        assert proof.collision_free and proof.universal
-
-    def test_reason_renders_both_sides(self):
-        proof = prove_product_equal((2, ("S",)), (3, ("S",)))
-        assert "2*S" in proof.reason and "3*S" in proof.reason
