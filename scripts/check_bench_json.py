@@ -12,12 +12,9 @@ With no paths, scans the repository root for ``BENCH_*.json`` files and
 * ``.jsonl`` lines are dispatched on their ``schema`` field: lines
   declaring ``"repro.lint/1"`` are validated as linter findings
   (``repro.analysis.staticcheck.validate_lint_record``, the output of
-  ``python -m repro lint --json``); lines declaring
-  ``"repro.telemetry/1"`` are validated as streaming-telemetry heartbeats
-  (``repro.obs.validate_telemetry_record``, the output of the
-  ``TelemetryFlusher`` / ``python -m repro export --telemetry``); lines
-  declaring ``"repro.attrib/1"`` are validated as regression-attribution
-  records (``repro.obs.validate_attrib_record``, the output of
+  ``python -m repro lint --json``); lines declaring ``"repro.attrib/1"``
+  are validated as regression-attribution records
+  (``repro.obs.validate_attrib_record``, the output of
   ``python -m repro why --json`` / ``bench_gate.py --attrib``); lines
   declaring ``"repro.wisdom/1"`` are validated as auto-tuner wisdom
   entries (``repro.tune.validate_wisdom_record``, the output of
@@ -67,19 +64,16 @@ from repro.analysis.staticcheck import (  # noqa: E402
 from repro.obs import (  # noqa: E402
     ATTRIB_SCHEMA,
     BASELINE_SCHEMA,
-    TELEMETRY_SCHEMA,
     TRAJECTORY_SCHEMA,
     validate_attrib_record,
     validate_baseline,
     validate_run_record,
-    validate_telemetry_record,
     validate_trajectory,
 )
 from repro.tune import (  # noqa: E402
     WISDOM_SCHEMA,
     validate_wisdom_record,
 )
-
 
 
 def check_executor_record(record: dict) -> list[str]:
@@ -161,11 +155,6 @@ def check_jsonl(path: str) -> list[str]:
                 continue
             if isinstance(record, dict) and record.get("schema") == LINT_SCHEMA:
                 for issue in validate_lint_record(record):
-                    problems.append(f"{path}:{lineno}: {issue}")
-                continue
-            if isinstance(record, dict) \
-                    and record.get("schema") == TELEMETRY_SCHEMA:
-                for issue in validate_telemetry_record(record):
                     problems.append(f"{path}:{lineno}: {issue}")
                 continue
             if isinstance(record, dict) \

@@ -44,19 +44,6 @@ it (``repro.attrib/1`` records; ``--json`` emits them as JSONL), diffs
 two arbitrary records with ``--diff A B``, and writes differential
 collapsed-stack flamegraphs with ``--flame PATH``.
 
-``python -m repro top`` is the *live* counterpart: it drives a small
-batched workload through the sharded executor on a background thread and
-renders a refreshing ASCII dashboard (queue wait and shard wall
-percentiles, plan-cache hit rate and bytes, traced memory, flight-recorder
-drops) from the global registry — ``--frames``/``--interval`` bound the
-session, ``--dump PATH`` writes the flight recorder's ``repro.run/1``
-snapshot on exit.
-
-``python -m repro export`` runs the same workload briefly and streams the
-registry out: ``--prometheus`` prints text-exposition format to stdout,
-``--telemetry PATH`` appends ``repro.telemetry/1`` JSONL records under the
-daemon flusher while the workload runs.
-
 Exit codes: 0 success, 1 incomplete recovery (demo), 2 malformed
 arguments / unreadable artifacts.
 """
@@ -542,225 +529,6 @@ def why_main(argv: list[str]) -> int:
     return 0
 
 
-# --------------------------------------------------------------------------
-# live telemetry: `python -m repro top` / `python -m repro export`
-# --------------------------------------------------------------------------
-
-def _drive_telemetry_workload(
-    stop,
-    *,
-    tracer=None,
-    n_log2: int = 12,
-    k: int = 8,
-    batch: int = 8,
-    workers: int = 2,
-) -> int:
-    """Small batched transforms in a loop until ``stop`` is set.
-
-    Each iteration pulls the plan through the global plan cache (cache
-    traffic + byte gauges), runs the sharded executor against the global
-    registry (executor family), and lands its spans on ``tracer`` (flight
-    recorder feed).  Returns the number of iterations completed.
-    """
-    from .core import ShardedExecutor, cached_plan
-
-    n = 1 << n_log2
-    signals = [
-        make_sparse_signal(n, k, seed=9000 + 17 * s) for s in range(batch)
-    ]
-    stack = np.stack([s.time for s in signals])
-    executor = ShardedExecutor(workers=workers)
-    iterations = 0
-    while not stop.is_set():
-        plan = cached_plan(n, k, seed=1)
-        executor.run(stack, plan, tracer=tracer)
-        iterations += 1
-    return iterations
-
-
-def _build_top_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro top",
-        description="Live ASCII telemetry dashboard over a demo workload.",
-    )
-    parser.add_argument("--frames", default=10, type=int,
-                        help="dashboard refreshes before exiting "
-                             "(default 10)")
-    parser.add_argument("--interval", default=0.5, type=float,
-                        help="seconds between refreshes (default 0.5)")
-    parser.add_argument("--workers", default=2, type=_workers_arg,
-                        help="executor worker threads (default 2)")
-    parser.add_argument("--capacity", default=4096, type=int,
-                        help="flight-recorder ring capacity (default 4096)")
-    parser.add_argument("--dump", metavar="PATH",
-                        help="write the flight recorder's repro.run/1 "
-                             "snapshot on exit")
-    return parser
-
-
-def top_main(argv: list[str]) -> int:
-    """``python -m repro top`` — live dashboard of the global registry."""
-    import threading
-
-    from .obs import (
-        FlightRecorder,
-        MemorySampler,
-        Tracer as _Tracer,
-        dashboard_sample,
-        global_registry,
-        render_dashboard,
-    )
-
-    parser = _build_top_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.frames < 1 or args.interval <= 0 or args.capacity < 1:
-        print("error: --frames/--capacity must be >= 1 and --interval > 0",
-              file=sys.stderr)
-        return 2
-
-    registry = global_registry()
-    tracer = _Tracer()
-    recorder = FlightRecorder(args.capacity).attach(
-        tracer=tracer, registry=registry
-    )
-    sampler = MemorySampler(registry, interval_s=max(0.05, args.interval / 2))
-    stop = threading.Event()
-    worker = threading.Thread(
-        target=_drive_telemetry_workload,
-        args=(stop,),
-        kwargs={"tracer": tracer, "workers": args.workers},
-        name="repro-top-workload",
-        daemon=True,
-    )
-
-    history: list[dict] = []
-    try:
-        sampler.start()
-        worker.start()
-        for frame in range(args.frames):
-            time.sleep(args.interval)
-            history.append(dashboard_sample(registry))
-            text = render_dashboard(history, title="live telemetry")
-            if sys.stdout.isatty():
-                print(f"\x1b[2J\x1b[H{text}", flush=True)
-            else:
-                print(text, end="\n\n", flush=True)
-    except KeyboardInterrupt:
-        pass
-    except BrokenPipeError:
-        # `repro top | head`-style consumers close the pipe mid-stream;
-        # swap stdout for /dev/null so teardown (and --dump) still runs.
-        sys.stdout = open(os.devnull, "w", encoding="utf-8")
-    finally:
-        stop.set()
-        worker.join(timeout=10.0)
-        sampler.stop()
-        recorder.detach()
-
-    if args.dump:
-        try:
-            with open(args.dump, "w", encoding="utf-8") as fh:
-                json.dump(recorder.dump(), fh, separators=(",", ":"))
-                fh.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.dump!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"flight snapshot written to {args.dump} "
-              f"({len(recorder)} event(s), {recorder.dropped} dropped)")
-    return 0
-
-
-def _build_export_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro export",
-        description="Stream the metrics registry out of a short live run.",
-    )
-    parser.add_argument("--prometheus", action="store_true",
-                        help="print Prometheus text exposition to stdout")
-    parser.add_argument("--telemetry", metavar="PATH",
-                        help="append repro.telemetry/1 JSONL records under "
-                             "the daemon flusher while the workload runs")
-    parser.add_argument("--seconds", default=1.0, type=float,
-                        help="workload duration (default 1.0)")
-    parser.add_argument("--interval", default=0.2, type=float,
-                        help="flusher period in seconds (default 0.2)")
-    parser.add_argument("--workers", default=2, type=_workers_arg,
-                        help="executor worker threads (default 2)")
-    return parser
-
-
-def export_main(argv: list[str]) -> int:
-    """``python -m repro export`` — Prometheus text / telemetry JSONL."""
-    import threading
-
-    from .obs import (
-        FlightRecorder,
-        MemorySampler,
-        TelemetryFlusher,
-        Tracer as _Tracer,
-        global_registry,
-        render_prometheus,
-    )
-
-    parser = _build_export_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if not args.prometheus and not args.telemetry:
-        print("error: nothing to export — pass --prometheus and/or "
-              "--telemetry PATH", file=sys.stderr)
-        return 2
-    if args.seconds <= 0 or args.interval <= 0:
-        print("error: --seconds and --interval must be > 0",
-              file=sys.stderr)
-        return 2
-
-    registry = global_registry()
-    tracer = _Tracer()
-    recorder = FlightRecorder().attach(tracer=tracer, registry=registry)
-    sampler = MemorySampler(registry)
-    flusher = None
-    if args.telemetry:
-        flusher = TelemetryFlusher(
-            args.telemetry, registry,
-            interval_s=args.interval, recorder=recorder,
-        )
-
-    stop = threading.Event()
-    worker = threading.Thread(
-        target=_drive_telemetry_workload,
-        args=(stop,),
-        kwargs={"tracer": tracer, "workers": args.workers},
-        name="repro-export-workload",
-        daemon=True,
-    )
-    try:
-        sampler.start()
-        if flusher is not None:
-            flusher.start()
-        worker.start()
-        time.sleep(args.seconds)
-    finally:
-        stop.set()
-        worker.join(timeout=10.0)
-        if flusher is not None:
-            flusher.stop()
-        sampler.stop()
-        recorder.detach()
-
-    if args.telemetry:
-        print(f"telemetry: {flusher.seq} record(s) appended to "
-              f"{args.telemetry}", file=sys.stderr)
-    if args.prometheus:
-        print(render_prometheus(registry), end="")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -768,10 +536,6 @@ def main(argv: list[str] | None = None) -> int:
         return report_main(argv[1:])
     if argv[:1] == ["why"]:
         return why_main(argv[1:])
-    if argv[:1] == ["top"]:
-        return top_main(argv[1:])
-    if argv[:1] == ["export"]:
-        return export_main(argv[1:])
     if argv[:1] == ["lint"]:
         from .analysis.staticcheck.cli import lint_main
 

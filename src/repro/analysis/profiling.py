@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.plan import make_plan
 from ..core.sfft import STEP_NAMES, sfft
 from ..cpu.psfft import PsFFT

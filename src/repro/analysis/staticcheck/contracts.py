@@ -29,7 +29,8 @@ Grammar
   ``SharedArraySpec.as_array``, whose shape *is* its spec field);
 * ``bind`` maps symbols to runtime paths (``"plan.n"``,
   ``"permutations[0].n"``, ``"len(selected)"``) so dims can be pinned
-  from non-array arguments.
+  from non-array arguments; binding a symbol no dim uses is a
+  decoration-time :class:`~repro.errors.ParameterError`.
 """
 
 from __future__ import annotations
@@ -262,6 +263,18 @@ class Contract:
     @property
     def key(self) -> str:
         return f"{self.module}.{self.qualname}"
+
+
+def _spec_symbols(contract: Contract) -> set[str]:
+    """Every symbol some input or output dim of ``contract`` names."""
+    specs = [arg.spec for arg in contract.inputs] + [contract.output]
+    return {
+        sym
+        for spec in specs
+        for dim in spec.dims or ()
+        if isinstance(dim, Dim)
+        for sym in dim.syms
+    }
 
 
 def contract_for(fn: Callable[..., Any]) -> Contract | None:
@@ -516,6 +529,12 @@ def shape_contract(
                     f"{contract.key}: contract names unknown parameter "
                     f"{arg.name!r}"
                 )
+        unused = sorted(set(contract.bind) - _spec_symbols(contract))
+        if unused:
+            raise ParameterError(
+                f"{contract.key}: bind names symbol(s) {unused} that no "
+                f"dim of {spec!r} uses"
+            )
 
         @functools.wraps(fn)
         def wrapper(*args: Any, **kwargs: Any) -> Any:

@@ -28,11 +28,11 @@ by path relative to the ``repro`` package root (posix separators):
   :class:`~repro.errors.ParameterError` (or another
   :class:`~repro.errors.ReproError`), never bare ``ValueError``, so
   callers can catch one hierarchy.
-* ``telemetry-thread-safety`` — the registry's instrument table and
-  subscriber lists, and the flight recorder's ring deque, are guarded by
-  locks inside ``obs/``; code elsewhere must go through the public
-  subscription API (``subscribe()`` / ``record_*`` / the instruments),
-  never touch ``_instruments`` / ``_subscribers`` / ``_ring`` directly.
+* ``telemetry-thread-safety`` — the metrics registry's instrument table
+  (``MetricsRegistry._instruments``) is guarded by a lock inside
+  ``obs/``; code elsewhere must look instruments up through
+  ``counter()`` / ``gauge()`` / ``histogram()``, never touch
+  ``_instruments`` directly.
 * ``span-orphan`` — synthetic spans recorded outside ``obs/`` must say
   which timeline they belong to: an ``add_span(...)`` call without an
   explicit ``track=`` lands on the default CPU track, where the
@@ -123,12 +123,11 @@ RULES: dict[str, Rule] = {r.id: r for r in (
     ),
     Rule(
         "telemetry-thread-safety", "error",
-        "direct access to registry/ring-buffer internals outside obs/",
-        "MetricsRegistry._instruments, the _subscribers lists, and "
-        "FlightRecorder._ring are mutated under locks owned by obs/; "
-        "outside code must use the public subscription API (subscribe, "
-        "record_span/record_metric, the instruments) or updates race "
-        "and the re-entrancy guard is bypassed.",
+        "direct access to the metrics registry's instrument table "
+        "outside obs/",
+        "MetricsRegistry._instruments is mutated under a lock owned by "
+        "obs/; outside code must look instruments up through counter(), "
+        "gauge() and histogram() or its reads and writes race.",
     ),
     Rule(
         "span-orphan", "error",
@@ -194,8 +193,8 @@ _WORKSPACE_SETTERS = frozenset({"__init__", "clone", "adopt_shared"})
 _MUTATING_METHODS = frozenset({"fill", "sort", "put", "partition", "resize"})
 _CLOCK_FUNCS = frozenset({"time", "perf_counter", "monotonic",
                           "process_time", "thread_time"})
-#: Lock-guarded telemetry internals (see obs/metrics.py, obs/live.py).
-_TELEMETRY_INTERNALS = frozenset({"_instruments", "_subscribers", "_ring"})
+#: The lock-guarded instrument table of obs/metrics.py's MetricsRegistry.
+_REGISTRY_TABLE = "_instruments"
 #: The one module allowed to construct SharedMemory (see core/shm.py).
 _SHM_OWNER = "core/shm.py"
 #: Callables that consume raw B=/loops= keywords (plan/param construction).
@@ -579,7 +578,7 @@ class _Visitor(ast.NodeVisitor):
         self._check_store_targets(node, [node.target])
         self.generic_visit(node)
 
-    # -- attribute loads/stores: telemetry internals ------------------------
+    # -- attribute loads/stores: env reads, registry internals --------------
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         chain = _attr_chain(node)
@@ -593,12 +592,12 @@ class _Visitor(ast.NodeVisitor):
                 f"__main__.py) — thread the value through a parameter, or "
                 f"suppress with a rationale for a deliberate opt-in hook",
             )
-        if node.attr in _TELEMETRY_INTERNALS:
+        if node.attr == _REGISTRY_TABLE:
             self._emit(
                 "telemetry-thread-safety", node,
-                f"direct .{node.attr} access outside obs/ — use the "
-                f"public subscription API (subscribe / record_* / the "
-                f"instruments); the internals are lock-guarded",
+                f"direct .{_REGISTRY_TABLE} access outside obs/ — look "
+                f"instruments up through counter() / gauge() / "
+                f"histogram(); the table is lock-guarded",
             )
         self.generic_visit(node)
 

@@ -225,10 +225,7 @@ def _no_stage(name: str, **attrs):
     return _UNCLOCKED
 
 
-@shape_contract("X:(S, n):complex128, plan:* -> *",
-                bind={"n": "plan.n", "B": "plan.params.B",
-                      "L": "plan.params.loops",
-                      "v": "plan.params.voting_loops"})
+@shape_contract("X:(S, n):complex128, plan:* -> *", bind={"n": "plan.n"})
 def run_stack_pipeline(
     X: np.ndarray,
     plan: SfftPlan,
@@ -510,7 +507,6 @@ def _locate_by_vote(rows, plan, voters, stage, signal_offset, *,
     }
 
 
-@shape_contract("X:*, plan:* -> *", bind={"n": "plan.n"})
 def run_serial(
     X: np.ndarray,
     plan: SfftPlan,

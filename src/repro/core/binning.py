@@ -44,7 +44,7 @@ def _check_args(x: np.ndarray, filt: FlatFilter, B: int, perm: Permutation) -> N
 
 
 @shape_contract("x:(n,) -> (B,)", dtype="complex128",
-                bind={"n": "perm.n", "B": "B", "W": "filt.width"})
+                bind={"n": "perm.n", "B": "B"})
 def bin_serial(
     x: np.ndarray, filt: FlatFilter, B: int, perm: Permutation
 ) -> np.ndarray:
@@ -63,7 +63,7 @@ def bin_serial(
 
 
 @shape_contract("x:(n,) -> (B,)", dtype="complex128",
-                bind={"n": "perm.n", "B": "B", "W": "filt.width"})
+                bind={"n": "perm.n", "B": "B"})
 def bin_vectorized(
     x: np.ndarray, filt: FlatFilter, B: int, perm: Permutation
 ) -> np.ndarray:
@@ -84,7 +84,7 @@ def bin_vectorized(
 
 
 @shape_contract("x:(n,) -> (B,)", dtype="complex128",
-                bind={"n": "perm.n", "B": "B", "W": "filt.width"})
+                bind={"n": "perm.n", "B": "B"})
 def bin_loop_partition(
     x: np.ndarray, filt: FlatFilter, B: int, perm: Permutation
 ) -> np.ndarray:

@@ -67,8 +67,7 @@ def _phase(freqs: np.ndarray, taus: np.ndarray, n: int) -> np.ndarray:
 
 
 @shape_contract("frequencies:(F,), bucket_rows:(L, B):complex128 -> (F, L)",
-                dtype="complex128",
-                bind={"B": "B", "n": "filt.n"})
+                dtype="complex128", bind={"B": "B"})
 def loop_estimates(
     frequencies: np.ndarray,
     bucket_rows: np.ndarray,
@@ -214,7 +213,7 @@ def estimate_values(
 
 @shape_contract("hits_per_signal:*, bucket_rows_stack:(S, L, B):complex128"
                 " -> *",
-                bind={"S": "len(hits_per_signal)", "B": "B", "n": "filt.n"})
+                bind={"S": "len(hits_per_signal)", "B": "B"})
 def estimate_values_stack(
     hits_per_signal: list[np.ndarray],
     bucket_rows_stack: np.ndarray,

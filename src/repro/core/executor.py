@@ -82,7 +82,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..analysis.staticcheck.contracts import shape_contract
 from ..errors import ExecutorError, ParameterError
 from ..obs import MetricsRegistry, Tracer, global_registry, monotonic
 from ..utils.rng import RngLike
@@ -167,7 +166,6 @@ def _worker_stage(spans: list, name: str, attrs: dict):
         spans.append((name, t0, monotonic(), attrs))
 
 
-@shape_contract("desc:*, data_specs:* -> *")
 def _process_shard(
     desc: PlanDescriptor,
     data_specs: dict[str, SharedArraySpec],
@@ -335,7 +333,6 @@ class ShardedExecutor:
             f"mode={self.mode!r})"
         )
 
-    @shape_contract("S:* -> *")
     def shard_bounds(self, S: int) -> list[tuple[int, int]]:
         """The ``[lo, hi)`` row ranges this executor splits ``S`` rows into."""
         if S < 1:
@@ -345,7 +342,6 @@ class ShardedExecutor:
             size = max(1, -(-S // (2 * self.workers)))
         return [(lo, min(lo + size, S)) for lo in range(0, S, size)]
 
-    @shape_contract("X:*, plan:* -> *", bind={"n": "plan.n"})
     def run(
         self,
         X: np.ndarray,

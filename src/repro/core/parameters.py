@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import ParameterError
-from ..utils.modmath import ilog2, is_power_of_two, next_power_of_two
+from ..utils.modmath import ilog2, next_power_of_two
 from ..utils.validation import check_positive_int, check_power_of_two
 
 __all__ = ["SfftParameters", "derive_parameters"]

@@ -282,7 +282,7 @@ class PhaseStack:
         x = self.vals[lo:hi].copy()
         scale = float(np.abs(x).max())
         for _ in range(2 * int(self.rounds[s]) + 8):
-            # einsum, not A @ x: a multithreaded BLAS gemv oversubscribes
+            # einsum, not A @ x: a multithreaded BLAS gemv overcommits
             # the cores when the executor's workers solve at once.
             dx = (u - np.einsum("ij,j->i", A, x)) / d
             x[order] += dx

@@ -149,9 +149,8 @@ class PlanCache:
         """Refresh the derived gauges after a miss (traffic and residency).
 
         Gauges land on the global registry (like the hit/miss counters),
-        outside :attr:`_lock` — counter/gauge updates fan out to registry
-        subscribers (flight recorders), and those callbacks must never run
-        under a cache-internal lock.
+        outside :attr:`_lock`, so the cache never holds its own lock while
+        it waits on the registry's.
         """
         from ..obs import global_registry
 

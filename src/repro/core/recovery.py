@@ -141,8 +141,7 @@ def _loop_strides(
     return n, sigma_inv
 
 
-@shape_contract("selected_buckets:*, perm:* -> *", dtype="int64",
-                bind={"n": "perm.n", "B": "B"})
+@shape_contract("selected_buckets:*, perm:* -> *", dtype="int64")
 def candidate_frequencies(
     selected_buckets: np.ndarray, perm: Permutation, B: int
 ) -> np.ndarray:
@@ -159,8 +158,6 @@ def candidate_frequencies(
     return _candidate_keys(J, sigma_inv, n, B).ravel().astype(np.int64)
 
 
-@shape_contract("selected_per_loop:*, permutations:* -> *",
-                bind={"n": "permutations[0].n", "B": "B"})
 def recover_locations(
     selected_per_loop: list[np.ndarray],
     permutations: list[Permutation],
@@ -188,9 +185,6 @@ def recover_locations(
     return _vote(selected_per_loop, sigma_inv, n, B, vote_threshold, mask)
 
 
-@shape_contract("selected:*, permutations:* -> *",
-                bind={"S": "len(selected)", "n": "permutations[0].n",
-                      "B": "B"})
 def recover_locations_stack(
     selected: list[list[np.ndarray]],
     permutations: list[Permutation],

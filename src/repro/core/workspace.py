@@ -284,8 +284,7 @@ class PlanWorkspace:
 
     @shape_contract(
         "x:(n,) -> (M, B)", dtype="complex128",
-        bind={"n": "self.n", "L": "self.loops", "B": "self.B",
-              "rounds": "self.rounds"},
+        bind={"n": "self.n", "B": "self.B"},
     )
     def bin_fused(
         self,

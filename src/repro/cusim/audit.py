@@ -13,7 +13,6 @@ This is the simulator's equivalent of checking a performance model against
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -5,7 +5,7 @@ The model is processor sharing: every active kernel asks for a fraction
 ``demand`` of the compute machine; while the total demand of concurrently
 active kernels stays below 1 they all run at full speed (true concurrency —
 the win the asynchronous layout transformation banks on), and once the
-machine is oversubscribed everyone slows down by ``1 / total_demand``.
+machine is overcommitted everyone slows down by ``1 / total_demand``.
 Copy engines are separate resources (one per direction on the K20x), which
 is why transfers overlap kernels for free.
 

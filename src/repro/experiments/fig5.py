@@ -22,7 +22,6 @@ import numpy as np
 
 from ..analysis.accuracy import score_result
 from ..core.plan import make_plan
-from ..core.sfft import sfft
 from ..core.variants import sfft_batch
 from ..cpu.fftw import FftwPlan
 from ..cpu.psfft import PsFFT

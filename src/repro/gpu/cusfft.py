@@ -54,7 +54,7 @@ from ..obs import (
 from ..perf.counts import sfft_step_counts
 from ..utils.rng import RngLike
 from ..utils.validation import as_complex_signal
-from .config import BASELINE, OPTIMIZED, CusfftConfig
+from .config import OPTIMIZED, CusfftConfig
 from .kernels import (
     atomic_spec,
     bin_atomic_functional,

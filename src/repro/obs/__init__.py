@@ -18,12 +18,7 @@ GPU (``repro.gpu`` / ``repro.cusim``), and the benchmark/experiment harness:
   Amdahl-style what-if projections (:mod:`repro.obs.critical`),
   differential profiles, and automatic regression attribution emitting
   ``repro.attrib/1`` records (:mod:`repro.obs.attrib`, surfaced as
-  ``python -m repro why``);
-* live telemetry — a bounded :class:`FlightRecorder` over span closes and
-  metric updates, ``tracemalloc``-backed memory gauges
-  (:class:`MemorySampler`), and streaming export: Prometheus text
-  (:func:`render_prometheus`), ``repro.telemetry/1`` JSONL heartbeats
-  (:class:`TelemetryFlusher`), and the ``python -m repro top`` dashboard.
+  ``python -m repro why``).
 
 See ``docs/observability.md`` for the naming scheme and schemas.
 """
@@ -56,18 +51,6 @@ from .export import (
     validate_run_record,
     write_jsonl,
 )
-from .expose import (
-    TELEMETRY_SCHEMA,
-    TelemetryFlusher,
-    dashboard_sample,
-    make_telemetry_record,
-    prometheus_name,
-    render_dashboard,
-    render_prometheus,
-    validate_telemetry_record,
-)
-from .live import DEFAULT_FLIGHT_CAPACITY, FlightEvent, FlightRecorder
-from .memory import MemorySampler, publish_plan_cache_memory
 from .metrics import (
     Counter,
     Gauge,
@@ -120,19 +103,6 @@ __all__ = [
     "render_obs_summary",
     "validate_run_record",
     "write_jsonl",
-    "TELEMETRY_SCHEMA",
-    "TelemetryFlusher",
-    "dashboard_sample",
-    "make_telemetry_record",
-    "prometheus_name",
-    "render_dashboard",
-    "render_prometheus",
-    "validate_telemetry_record",
-    "DEFAULT_FLIGHT_CAPACITY",
-    "FlightEvent",
-    "FlightRecorder",
-    "MemorySampler",
-    "publish_plan_cache_memory",
     "BASELINE_SCHEMA",
     "TRAJECTORY_SCHEMA",
     "GateConfig",

@@ -18,7 +18,7 @@ units spelled in the trailing segment where ambiguous (``_s``, ``_bytes``).
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,14 +29,10 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricUpdate",
     "global_registry",
     "emit_sfft_metrics",
     "count_locations",
 ]
-
-#: Subscription callback signature: ``(name, kind, value)`` per update.
-MetricUpdate = Callable[[str, str, float], None]
 
 
 class Counter:
@@ -44,15 +40,9 @@ class Counter:
 
     kind = "counter"
 
-    def __init__(
-        self,
-        name: str,
-        lock: threading.Lock,
-        notify: MetricUpdate | None = None,
-    ) -> None:
+    def __init__(self, name: str, lock: threading.Lock) -> None:
         self.name = name
         self._lock = lock
-        self._notify = notify
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
@@ -61,9 +51,6 @@ class Counter:
             raise ParameterError(f"counter increment must be >= 0, got {amount}")
         with self._lock:
             self.value += amount
-            value = self.value
-        if self._notify is not None:
-            self._notify(self.name, self.kind, value)
 
     def snapshot(self) -> dict:
         """JSON-ready state."""
@@ -75,23 +62,15 @@ class Gauge:
 
     kind = "gauge"
 
-    def __init__(
-        self,
-        name: str,
-        lock: threading.Lock,
-        notify: MetricUpdate | None = None,
-    ) -> None:
+    def __init__(self, name: str, lock: threading.Lock) -> None:
         self.name = name
         self._lock = lock
-        self._notify = notify
         self.value: float | None = None
 
     def set(self, value: float) -> None:
         """Record the current value."""
         with self._lock:
             self.value = float(value)
-        if self._notify is not None:
-            self._notify(self.name, self.kind, float(value))
 
     def snapshot(self) -> dict:
         """JSON-ready state."""
@@ -103,32 +82,21 @@ class Histogram:
 
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        lock: threading.Lock,
-        notify: MetricUpdate | None = None,
-    ) -> None:
+    def __init__(self, name: str, lock: threading.Lock) -> None:
         self.name = name
         self._lock = lock
-        self._notify = notify
         self.samples: list[float] = []
 
     def observe(self, value: float) -> None:
         """Record one sample."""
         with self._lock:
             self.samples.append(float(value))
-        if self._notify is not None:
-            self._notify(self.name, self.kind, float(value))
 
     def observe_many(self, values: Iterable[float]) -> None:
         """Record a batch of samples."""
         vals = [float(v) for v in values]
         with self._lock:
             self.samples.extend(vals)
-        if self._notify is not None:
-            for v in vals:
-                self._notify(self.name, self.kind, v)
 
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile (0-100, linear interpolation).
@@ -177,49 +145,12 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
-        self._subscribers: list[MetricUpdate] = []
-        self._notifying = threading.local()
-
-    def subscribe(self, fn: MetricUpdate) -> Callable[[], None]:
-        """Call ``fn(name, kind, value)`` after every instrument update.
-
-        Callbacks run on the updating thread, outside the registry lock,
-        and are re-entrancy guarded: updates a callback itself makes do
-        not trigger further callbacks (so a subscriber may record its own
-        bookkeeping metrics without recursing).  Returns an unsubscribe
-        callable.
-        """
-        with self._lock:
-            self._subscribers.append(fn)
-
-        def unsubscribe() -> None:
-            with self._lock:
-                try:
-                    self._subscribers.remove(fn)
-                except ValueError:
-                    pass
-
-        return unsubscribe
-
-    def _notify(self, name: str, kind: str, value: float) -> None:
-        if getattr(self._notifying, "active", False):
-            return
-        with self._lock:
-            subs = list(self._subscribers)
-        if not subs:
-            return
-        self._notifying.active = True
-        try:
-            for fn in subs:
-                fn(name, kind, value)
-        finally:
-            self._notifying.active = False
 
     def _get(self, name: str, cls: type) -> Counter | Gauge | Histogram:
         with self._lock:
             inst = self._instruments.get(name)
             if inst is None:
-                inst = cls(name, self._lock, self._notify)
+                inst = cls(name, self._lock)
                 self._instruments[name] = inst
         if not isinstance(inst, cls):
             raise ParameterError(
@@ -251,10 +182,9 @@ class MetricsRegistry:
         return {name: inst.snapshot() for name, inst in items}
 
     def reset(self) -> None:
-        """Drop every instrument and subscriber (tests and fresh runs)."""
+        """Drop every instrument (tests and fresh runs)."""
         with self._lock:
             self._instruments.clear()
-            self._subscribers.clear()
 
 
 _GLOBAL = MetricsRegistry()

@@ -105,25 +105,6 @@ class Tracer:
         self._lock = threading.Lock()
         self._spans: list[Span] = []
         self._local = threading.local()
-        self._subscribers: list[Callable[[Span], None]] = []
-
-    def subscribe(self, fn: Callable[[Span], None]) -> Callable[[], None]:
-        """Call ``fn(span)`` after every span close (live or synthetic).
-
-        Callbacks run on the recording thread, outside the tracer lock.
-        Returns an unsubscribe callable.
-        """
-        with self._lock:
-            self._subscribers.append(fn)
-
-        def unsubscribe() -> None:
-            with self._lock:
-                try:
-                    self._subscribers.remove(fn)
-                except ValueError:
-                    pass
-
-        return unsubscribe
 
     # -- recording --------------------------------------------------------
 
@@ -184,9 +165,6 @@ class Tracer:
         )
         with self._lock:
             self._spans.append(sp)
-            subs = list(self._subscribers)
-        for fn in subs:
-            fn(sp)
         return sp
 
     def add_timeline(self, report: Any, *, category: str = "cusim") -> int:

@@ -1,18 +1,13 @@
 """Unit tests: concurrency guarantees of the observability layer.
 
-Two promises the docs make that only a stress/boundary test can keep
-honest: ``atomic_append_text`` never exposes a torn line to concurrent
-writers, and ``FlightRecorder.events(window_s)`` windows on an inclusive
-horizon with validated input.
+A promise the docs make that only a stress test can keep honest:
+``atomic_append_text`` never exposes a torn line to concurrent writers.
 """
 
 import json
 import threading
 
-import pytest
-
-from repro.errors import ParameterError
-from repro.obs import FlightRecorder, atomic_append_text
+from repro.obs import atomic_append_text
 
 
 class TestAtomicAppendConcurrent:
@@ -61,43 +56,3 @@ class TestAtomicAppendConcurrent:
         path = str(tmp_path / "clean.jsonl")
         atomic_append_text(path, "{}\n")
         assert [p.name for p in tmp_path.iterdir()] == ["clean.jsonl"]
-
-
-class TestFlightRecorderWindow:
-    def _recorder_at(self, times):
-        """Recorder fed one metric event per entry of ``times``."""
-        now = {"t": 0.0}
-        rec = FlightRecorder(capacity=16, clock=lambda: now["t"])
-        for t in times:
-            now["t"] = t
-            rec.record_metric("sfft.test.v", "gauge", t)
-        return rec, now
-
-    def test_window_horizon_is_inclusive(self):
-        rec, now = self._recorder_at([1.0, 2.0, 3.0])
-        now["t"] = 3.0
-        # horizon = 3.0 - 2.0 = 1.0; the event AT the horizon is kept.
-        assert [ev.ts_s for ev in rec.events(window_s=2.0)] == [1.0, 2.0, 3.0]
-        assert [ev.ts_s for ev in rec.events(window_s=1.0)] == [2.0, 3.0]
-
-    def test_zero_window_keeps_only_now(self):
-        rec, now = self._recorder_at([1.0, 2.0])
-        now["t"] = 2.0
-        assert [ev.ts_s for ev in rec.events(window_s=0.0)] == [2.0]
-        now["t"] = 2.5
-        assert rec.events(window_s=0.0) == []
-
-    def test_none_returns_everything_retained(self):
-        rec, _now = self._recorder_at([1.0, 2.0, 3.0])
-        assert len(rec.events()) == 3
-        assert len(rec.events(window_s=None)) == 3
-
-    def test_negative_window_raises(self):
-        rec, _now = self._recorder_at([1.0])
-        with pytest.raises(ParameterError, match="window_s"):
-            rec.events(window_s=-0.5)
-
-    def test_window_larger_than_history_keeps_all(self):
-        rec, now = self._recorder_at([1.0, 2.0])
-        now["t"] = 2.0
-        assert len(rec.events(window_s=1e9)) == 2

@@ -1,18 +1,7 @@
-"""Unit tests for memory accounting: plan-cache bytes and the sampler."""
-
-import tracemalloc
-
-import numpy as np
-import pytest
+"""Unit tests for memory accounting: plan-cache bytes and their gauges."""
 
 from repro.core import PlanCache, sfft
-from repro.errors import ParameterError
-from repro.obs import (
-    MemorySampler,
-    MetricsRegistry,
-    global_registry,
-    publish_plan_cache_memory,
-)
+from repro.obs import global_registry
 from repro.signals import make_sparse_signal
 
 N, K = 1024, 4
@@ -95,94 +84,3 @@ class TestPlanCacheBytes:
             "sfft.plan_cache.bytes"
         ).value == cache.nbytes()
         assert global_registry().gauge("sfft.plan_cache.entries").value == 1
-
-
-class TestPublishHelper:
-    class FakeCache:
-        def __init__(self, nbytes, entries):
-            self._nbytes, self._entries = nbytes, entries
-
-        def nbytes(self):
-            return self._nbytes
-
-        def __len__(self):
-            return self._entries
-
-    def test_publishes_both_gauges_and_returns_total(self):
-        reg = MetricsRegistry()
-        total = publish_plan_cache_memory(self.FakeCache(4096, 3), reg)
-        assert total == 4096
-        assert reg.gauge("sfft.plan_cache.bytes").value == 4096
-        assert reg.gauge("sfft.plan_cache.entries").value == 3
-
-    def test_defaults_to_the_global_registry(self):
-        publish_plan_cache_memory(self.FakeCache(512, 1))
-        assert global_registry().gauge("sfft.plan_cache.bytes").value == 512
-
-
-class TestMemorySampler:
-    def test_interval_validated(self):
-        with pytest.raises(ParameterError):
-            MemorySampler(interval_s=0.0)
-
-    def test_sample_sets_all_three_gauges(self):
-        reg = MetricsRegistry()
-        sampler = MemorySampler(reg)
-        try:
-            current, peak = sampler.sample()
-            assert 0 <= current <= peak
-            assert reg.gauge("sfft.mem.traced_bytes").value == current
-            assert reg.gauge("sfft.mem.traced_peak_bytes").value == peak
-            assert reg.gauge("sfft.mem.sample_ts_s").value >= 0
-        finally:
-            sampler.stop()
-
-    def test_sample_sees_new_allocations(self):
-        reg = MetricsRegistry()
-        sampler = MemorySampler(reg)
-        try:
-            sampler.sample()
-            block = np.zeros(1 << 18)  # 2 MiB, far above sampler noise
-            current, _ = sampler.sample()
-            assert current >= block.nbytes
-        finally:
-            sampler.stop()
-
-    def test_daemon_thread_keeps_sampling(self):
-        reg = MetricsRegistry()
-        with MemorySampler(reg, interval_s=0.01) as sampler:
-            first = reg.gauge("sfft.mem.sample_ts_s").value
-            assert first is not None
-            deadline_join = sampler._stop  # only to wait without sleeping
-            deadline_join.wait(0.05)
-        assert reg.gauge("sfft.mem.sample_ts_s").value >= first
-
-    def test_double_start_rejected(self):
-        sampler = MemorySampler(MetricsRegistry(), interval_s=0.05)
-        sampler.start()
-        try:
-            with pytest.raises(ParameterError):
-                sampler.start()
-        finally:
-            sampler.stop()
-
-    def test_does_not_stop_tracing_it_did_not_start(self):
-        already = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            sampler = MemorySampler(MetricsRegistry())
-            sampler.sample()
-            sampler.stop()
-            assert tracemalloc.is_tracing()
-        finally:
-            if not already:
-                tracemalloc.stop()
-
-    def test_stop_releases_tracing_it_started(self):
-        if tracemalloc.is_tracing():
-            pytest.skip("an outer harness is already tracing")
-        sampler = MemorySampler(MetricsRegistry())
-        sampler.sample()
-        assert tracemalloc.is_tracing()
-        sampler.stop()
-        assert not tracemalloc.is_tracing()

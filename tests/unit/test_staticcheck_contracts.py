@@ -82,6 +82,13 @@ class TestGrammar:
             def fn(x):
                 return x
 
+    def test_decoration_rejects_unused_bind(self):
+        with pytest.raises(ParameterError, match=r"\['W'\] that no dim"):
+            @shape_contract("x:(n,) -> (B,)",
+                            bind={"n": "perm.n", "B": "B", "W": "width"})
+            def fn(x, perm, B, width):
+                return x
+
     def test_dtype_declared_twice_is_rejected(self):
         with pytest.raises(ParameterError, match="dtype twice"):
             shape_contract("x:(n,) -> (n,):int64", dtype="int64")

@@ -194,30 +194,26 @@ class TestWallclockInCore:
 class TestTelemetryThreadSafety:
     @pytest.mark.parametrize("stmt", [
         "x = registry._instruments['sfft.loops']",
-        "tracer._subscribers.append(fn)",
-        "events = list(recorder._ring)",
-        "recorder._ring.clear()",
+        "registry._instruments.clear()",
     ])
     def test_internal_access_is_flagged(self, stmt):
         findings = _lint(f"{stmt}\n")
         assert _rules(findings) == ["telemetry-thread-safety"]
-        assert "subscription API" in findings[0].message
+        assert "counter() / gauge() / histogram()" in findings[0].message
 
     def test_public_api_is_clean(self):
         assert _lint("""
-            unsub = registry.subscribe(recorder.record_metric)
             registry.counter("sfft.loops").inc()
-            recorder.events(5.0)
+            registry.gauge("sfft.plan_cache.bytes").set(0)
+            registry.histogram("sfft.recovery.votes").observe(1)
         """) == []
 
     def test_obs_modules_are_exempt(self):
-        assert _lint("self._ring.append(event)\n",
-                     relpath="obs/live.py") == []
-        assert _lint("subs = list(self._subscribers)\n",
+        assert _lint("inst = self._instruments.get(name)\n",
                      relpath="obs/metrics.py") == []
 
     def test_suppressible(self):
-        src = ("n = len(recorder._ring)  "
+        src = ("n = len(registry._instruments)  "
                "# reprolint: ignore[telemetry-thread-safety]\n")
         assert lint_source(src, path="a.py", relpath="core/a.py") == []
 

@@ -187,8 +187,10 @@ class TestPackageDemo:
     def test_malformed_n_log2_exits_2(self, capsys):
         from repro.__main__ import main
 
-        assert main(["not_a_number"]) == 2
-        assert "n_log2 must be an integer" in capsys.readouterr().err
+        # `top` and `export` are not subcommands: they parse as n_log2.
+        for argv in (["not_a_number"], ["top"], ["export", "--prometheus"]):
+            assert main(argv) == 2
+            assert "n_log2 must be an integer" in capsys.readouterr().err
 
     def test_malformed_k_exits_2(self, capsys):
         from repro.__main__ import main
