@@ -62,7 +62,7 @@ from ..utils.validation import as_complex_signal
 from .comb import comb_approved_residues
 from .cutoff import cutoff_rows
 from .estimation import estimate_values_stack
-from .phase import PhaseStack
+from .phase import CERTIFICATE_FAILS, FOUND_CAP, PhaseStack
 from .plan import SfftPlan
 from .recovery import recover_locations_stack
 
@@ -323,13 +323,18 @@ def _locate_by_phase(X, plan, ws, backend, raw, binned, stage,
     they are peeled, and only a failed certificate folds it shifted too
     (a second gather of the loop).  The others fold plain and shifted,
     select their live buckets and decode (see
-    :class:`~repro.core.phase.PhaseStack`).  The plain folds land in
-    ``raw`` (``binned`` counts them), where voting picks them up.
-    Returns ``{s: (hits, values, votes, live sizes, loops)}`` for the
-    certified signals.
+    :class:`~repro.core.phase.PhaseStack`).  A signal leaves for voting
+    when its solve does not converge, when its certificate fails for the
+    :data:`~repro.core.phase.CERTIFICATE_FAILS`-th time, or when a decode
+    round leaves it with more than :data:`~repro.core.phase.FOUND_CAP`
+    times ``k`` coefficients.  The plain folds land in ``raw``
+    (``binned`` counts them), where voting picks them up.  Returns
+    ``{s: (hits, values, votes, live sizes, loops)}`` for the certified
+    signals.
     """
     B, L, k = plan.params.B, plan.params.loops, plan.params.k
     phase = PhaseStack(plan, X.shape[0])
+    fails = np.zeros(X.shape[0], dtype=np.int64)
     located = []
     for r in range(L):
         if r == 0:
@@ -343,6 +348,10 @@ def _locate_by_phase(X, plan, ws, backend, raw, binned, stage,
             if ready.size:
                 with stage("estimation", hits=int(phase.count[ready].sum())):
                     phase.solve(ready)
+                running = running[(phase.count[running] < k)
+                                  | phase.solved[running]]
+                if not running.size:
+                    break
             certifying = phase.solved[running]
             folds, rows = _fold_loop(X, ws, backend, running, r, ~certifying,
                                      stage, signal_offset)
@@ -355,11 +364,15 @@ def _locate_by_phase(X, plan, ws, backend, raw, binned, stage,
         located += running[done].tolist()
         if done.all():
             break
+        leave = done
         if certifying.any():
             # Align V with running: a certified signal keeps a zero row.
             full = np.zeros((A, B), dtype=np.complex128)
             full[~certifying] = V
             failed = certifying & ~done
+            fails[running[failed]] += 1
+            leave = done | (fails[running] >= CERTIFICATE_FAILS)
+            failed &= ~leave
             if failed.any():
                 ids = running[failed]
                 full[failed] = _fold_loop(
@@ -368,11 +381,14 @@ def _locate_by_phase(X, plan, ws, backend, raw, binned, stage,
                 )[1]
             V = full
         with stage("cutoff", method="phase"):
-            live, mags = phase.cutoff(running, U, done)
+            live, mags = phase.cutoff(running, U, leave)
         with stage("recovery", loops=1, signals=A):
             V = phase.peel_shifted(V, spread)
             phase.decode(running, r, U, V, live, mags)
-        running = running[~done]
+        running = running[~leave]
+        running = running[phase.count[running] <= FOUND_CAP * k]
+        if not running.size:
+            break
     return {s: (*phase.located(s), phase.live[s], int(phase.rounds[s]))
             for s in located}
 

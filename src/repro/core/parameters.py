@@ -113,10 +113,12 @@ class SfftParameters:
         )
 
 
-#: Filter design profiles.  ``accurate`` (the default) buys ~1e-8 estimation
-#: error with a wider filter (support ~24*B taps); ``fast`` matches the
-#: reference implementation's economics (support ~9*B taps, ~1e-5 error) and
-#: is what the paper-scale benchmarks use.
+#: Filter design profiles.  ``fast`` (the default) matches the reference
+#: implementation's economics (support ~10*B taps, ~1e-6 leakage): exactly
+#: sparse input is located by phase and its values solved against the
+#: exact filter coupling (:mod:`repro.core.phase`), so a flatter filter buys
+#: it nothing.  ``accurate`` buys ~1e-8 leakage for voted (noisy) input with
+#: a wider filter (support ~25*B taps) and must be asked for.
 PROFILES = {
     "accurate": {"lobefrac_times_B": 0.25, "tolerance": 1e-8},
     "fast": {"lobefrac_times_B": 0.5, "tolerance": 1e-6},
@@ -133,7 +135,7 @@ def derive_parameters(
     select_count: int | None = None,
     loc_loops: int | None = None,
     window: str = "dolph-chebyshev",
-    profile: str = "accurate",
+    profile: str = "fast",
     tolerance: float | None = None,
     lobefrac: float | None = None,
     B: int | None = None,
@@ -143,7 +145,8 @@ def derive_parameters(
     ``B`` targets ``bucket_constant * sqrt(n*k / log2 n)`` rounded to a power
     of two, clamped to ``[4k rounded up, n/2]`` so each loop has enough
     buckets to isolate coefficients, and never below 4.  ``profile`` picks
-    the filter-design trade-off (see :data:`PROFILES`); explicit
+    the filter-design trade-off (see :data:`PROFILES`; the default is
+    ``fast``, lobe 0.5/B and tolerance 1e-6); explicit
     ``tolerance`` / ``lobefrac`` override it.  Any field can be overridden
     explicitly; overrides are validated together.
     """

@@ -45,11 +45,22 @@ plan loop per round:
 
 A signal goes to voting when loop 0 fails the screen (more than
 :data:`SCREEN_LIVE` live buckets per coefficient: noise lights every
-bucket), when no loop of the plan certifies it, or when its solve does
-not converge.  Loop 0 decoding nothing is no reason: with few buckets
-all coefficients can collide in one loop.  The plain folds it made are
-kept, so voting sees the rows it would have binned itself and returns
-the same bits.  The order of the folds changes what is read, never a
+bucket), when no loop of the plan certifies it, or as soon as one of
+three exit rules says it is not exactly sparse, so that a signal the
+route cannot certify costs at most two solves:
+
+* its solve does not converge;
+* it holds more than :data:`FOUND_CAP` times ``k`` found coefficients
+  after a decode round (noise above the floor decodes as spurious
+  coefficients, each of which widens the solve);
+* its certificate fails for the :data:`CERTIFICATE_FAILS`-th time (one
+  failure is allowed, so a ``(k+1)``-sparse draw still certifies on the
+  next loop).
+
+Loop 0 decoding nothing is no reason: with few buckets all coefficients
+can collide in one loop.  The plain folds a signal made are kept, so
+voting sees the rows it would have binned itself and returns the same
+bits.  The order of the folds changes what is read, never a
 result: every signal takes the same loops and returns the same bits as
 with both folds made in every round.
 
@@ -72,6 +83,10 @@ SLACK = 100.0
 #: coefficient lights its own bucket and, through the transition band,
 #: at most one neighbour).
 SCREEN_LIVE = 3
+#: Exit: more than this many found coefficients per ``k``.
+FOUND_CAP = 2
+#: Exit: this many failed certificates.
+CERTIFICATE_FAILS = 2
 #: A decoded position must lie this close to an integer.
 _FRACTION = 0.25
 #: Passband floor of ``|filt.freq|`` at a decoded offset.
@@ -128,7 +143,8 @@ class PhaseStack:
 
     def solve(self, signals: np.ndarray) -> None:
         """Solve the values of ``signals`` (each with at least ``k``
-        found) before the loop that may certify them."""
+        found) before the loop that may certify them; ``solved`` marks
+        those whose solve converged."""
         n = self.n
         for s in signals.tolist():
             lo, hi = self.keys.searchsorted([s * n, (s + 1) * n]).tolist()
@@ -178,14 +194,14 @@ class PhaseStack:
         np.add.at(dv, idx, c * _turn(p, self.n)[:, None])
         return V - dv.reshape(V.shape)
 
-    def cutoff(self, running: np.ndarray, U: np.ndarray, done: np.ndarray):
-        """Live buckets of the signals still decoding, as flat indices
-        into ``U``, with ``|U|`` flat."""
+    def cutoff(self, running: np.ndarray, U: np.ndarray, stop: np.ndarray):
+        """Live buckets of the signals still decoding (those ``stop`` does
+        not mark), as flat indices into ``U``, with ``|U|`` flat."""
         mags = np.abs(U)
         live = mags > self.floor[running][:, None]
-        live[done] = False
+        live[stop] = False
         counts = live.sum(axis=1)
-        for s, c, d in zip(running.tolist(), counts.tolist(), done.tolist()):
+        for s, c, d in zip(running.tolist(), counts.tolist(), stop.tolist()):
             if not d:
                 self.live[s].append(c)
         return live.ravel().nonzero()[0], mags.ravel()

@@ -101,7 +101,10 @@ def sfft(
     ----------
     x:
         Length-``n`` signal (``n`` a power of two); real inputs are widened
-        to complex.
+        to complex.  Only the samples the plan reads are checked: a NaN or
+        inf among them raises :class:`~repro.errors.ParameterError`, and a
+        sample it never reads is not scanned (it cannot change the
+        result).
     k:
         Target sparsity.  Optional when ``plan`` is given; a ``k`` that
         disagrees with the plan's raises
@@ -109,7 +112,7 @@ def sfft(
     plan:
         A reusable :class:`~repro.core.plan.SfftPlan`; obtained from the
         process-level plan cache (with ``seed`` / ``plan_overrides``, e.g.
-        ``profile="fast"`` or ``loops=6``) when omitted, so repeat
+        ``profile="accurate"`` or ``loops=6``) when omitted, so repeat
         convenience calls of one shape pay filter synthesis once — see
         :mod:`repro.core.plan_cache`.  Plan overrides alongside a given
         plan raise :class:`~repro.errors.ParameterError`.

@@ -110,7 +110,9 @@ def sfft_batch(
     process-level cache when not supplied; the stack then runs through the
     pipeline engine (:mod:`repro.core.batch`) — one ``(S*L, B)`` bucket
     FFT and one batched cutoff for every signal.  Per-signal results match
-    ``sfft(signals[s], plan=plan)`` exactly.
+    ``sfft(signals[s], plan=plan)`` exactly.  As in ``sfft``, only the
+    samples the plan reads are checked for NaN or inf; the
+    :class:`~repro.errors.ParameterError` names the first bad stack row.
 
     ``executor`` parallelizes the fused engine across shards of the stack:
     pass a :class:`~repro.core.executor.ShardedExecutor`, or an ``int``

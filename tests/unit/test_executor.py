@@ -176,8 +176,10 @@ def test_span_dag_attrs_and_root(stack, plan):
 
 def test_strict_error_names_global_signal_index(rng):
     # Pure noise defeats k-sparse voting; with shards of 2, the failure
-    # sits in the second shard and must name the global row index 2.
-    n = 1024
+    # sits in the second shard and must name the global row index 2.  At
+    # n = 2^14 a noise frequency wins the vote with probability ~1e-6
+    # (2k of B = 256 buckets selected, 5 of 8 loops), so fewer than k win.
+    n = 1 << 14
     small = cached_plan(n, _K)
     X = np.stack([
         make_sparse_signal(n, _K, seed=60 + t).time for t in range(2)

@@ -64,7 +64,7 @@ class TestKeying:
         cache = PlanCache()
         p1 = cache.get_or_make(N, K, seed=1)
         p2 = cache.get_or_make(N, K, seed=1, loops=p1.loops)
-        p3 = cache.get_or_make(N, K, seed=1, profile="accurate",
+        p3 = cache.get_or_make(N, K, seed=1, profile="fast",
                                tolerance=p1.params.tolerance)
         assert p1 is p2 is p3
         assert cache.stats()["hits"] == 2 and len(cache) == 1

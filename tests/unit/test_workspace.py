@@ -267,13 +267,16 @@ class TestBatchEngine:
             signal_small.locations.tolist()
         )
 
-    def test_strict_raises_per_signal(self, plan_small, rng):
+    def test_strict_raises_per_signal(self, rng):
         from repro.errors import RecoveryError
 
-        # Pure noise: voting cannot reach k coefficients consistently.
-        X = np.stack([rng.standard_normal(1024) * 1e-12 for _ in range(2)])
+        # Pure noise: voting cannot reach k coefficients consistently.  At
+        # n = 2^14 a noise frequency wins the vote with probability ~1e-6
+        # (2k of B = 256 buckets selected, 5 of 8 loops).
+        n = 1 << 14
+        X = np.stack([rng.standard_normal(n) * 1e-12 for _ in range(2)])
         with pytest.raises(RecoveryError):
-            sfft_batch(X, plan=plan_small, strict=True)
+            sfft_batch(X, plan=cached_plan(n, 4), strict=True)
 
     def test_rejects_bad_stack_shapes(self, plan_small):
         with pytest.raises(ParameterError):
