@@ -8,8 +8,8 @@ per call (how ``run_fig5f`` looped before the batch engine existed); the
 
 ``test_amortized_speedup_recorded`` times both legs directly, asserts the
 batched engine is at least 2x faster per transform, and appends a
-``repro.run/1`` record with the amortized wall times to ``BENCH_RUNS.jsonl``
-(picked up by the trajectory on session finish).  The wall-clock metrics
+``repro.run/1`` record with the amortized wall times to
+``BENCH_RUNS.jsonl``.  The wall-clock metrics
 are machine-dependent, so the regression gate classes them ``wall``
 (advisory), never ``modeled``/``accuracy`` (CI-gated).
 """

@@ -14,7 +14,7 @@ mode — tagged ``params.mode`` — with ``wall_s_workers_<N>`` results to
 Wall-clock scaling is hardware-dependent: the >= 1.5x assertion at 4
 workers runs per mode, and only when this machine actually exposes >= 4
 CPUs to the process (``os.sched_getaffinity``); on smaller machines the
-walls are still recorded so the trajectory captures them.  Thread mode
+walls are still recorded in ``BENCH_RUNS.jsonl``.  Thread mode
 scales only through the stages that release the GIL (the bucket FFTs);
 process mode also parallelizes the pure-Python recovery/estimation
 stages — the head-to-head gap between the two rows is exactly what this

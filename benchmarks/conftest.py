@@ -9,7 +9,6 @@ artifact end to end.
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
@@ -18,32 +17,18 @@ import pytest
 from repro.core import SfftPlan, make_plan
 from repro.errors import ParameterError
 from repro.experiments import run_experiment
-from repro.obs import (
-    MetricsRegistry,
-    Tracer,
-    append_trajectory,
-    prune_runs,
-    prune_trajectory,
-)
+from repro.obs import MetricsRegistry, Tracer, prune_runs
 from repro.signals import SparseSignal, make_sparse_signal
 
 #: Where run records accumulate (one JSON line per experiment printed).
 #: Override with REPRO_BENCH_JSONL; set it empty to disable persistence.
 BENCH_JSONL = os.environ.get("REPRO_BENCH_JSONL", "BENCH_RUNS.jsonl")
 
-#: Where the performance trajectory accumulates (one point per run record
-#: this session appended).  Override with REPRO_BENCH_TRAJECTORY; set it
-#: empty to disable.
-BENCH_TRAJECTORY = os.environ.get(
-    "REPRO_BENCH_TRAJECTORY", "BENCH_TRAJECTORY.json"
-)
-
-#: Opt-in post-session compaction of the append-only artifacts.  Unset or
-#: empty: keep everything (the default — history is an asset).  Any
-#: non-empty value: drop verbatim-duplicate entries after the trajectory
-#: append; a positive integer additionally keeps only the newest N records
-#: per run key (``scripts/bench_gate.py --prune [--prune-keep N]`` is the
-#: manual equivalent).
+#: Opt-in post-session compaction of the append-only runs file.  Unset or
+#: empty: keep everything (the default).  Any non-empty value: drop
+#: verbatim-duplicate records; a positive integer additionally keeps only
+#: the newest N records per run key (``scripts/bench_gate.py --prune
+#: [--prune-keep N]`` is the manual equivalent).
 BENCH_PRUNE = os.environ.get("REPRO_BENCH_PRUNE", "")
 
 #: Sizes the functional (real wall-clock) benchmarks run at.
@@ -91,83 +76,19 @@ def print_experiment(experiment_id: str, **options) -> None:
     print(result.render())
 
 
-def _count_lines(path: str) -> int:
-    if not os.path.exists(path):
-        return 0
-    with open(path, encoding="utf-8") as fh:
-        return sum(1 for _ in fh)
-
-
-def pytest_sessionstart(session):
-    """Remember how many run records predate this bench session."""
-    session.config._repro_bench_start_lines = (
-        _count_lines(BENCH_JSONL) if BENCH_JSONL else 0
-    )
-
-
 def pytest_sessionfinish(session, exitstatus):
-    """Trajectory append, then opt-in compaction.
-
-    Pruning honours ``REPRO_BENCH_PRUNE`` even when the trajectory leg is
-    disabled (CI's bench gate runs with ``REPRO_BENCH_TRAJECTORY=""`` but
-    still wants ``BENCH_RUNS.jsonl`` deduplicated).
-    """
-    _append_session_trajectory(session)
-    _maybe_prune()
-
-
-def _append_session_trajectory(session) -> None:
-    """Append this session's run records to the performance trajectory.
-
-    Only records the session itself appended to ``BENCH_JSONL`` become
-    trajectory points, so re-running benchmarks never duplicates history.
-    Best-effort: a malformed artifact warns instead of failing the session.
-    """
-    if not (BENCH_JSONL and BENCH_TRAJECTORY):
-        return
-    if not os.path.exists(BENCH_JSONL):
-        return
-    start = getattr(session.config, "_repro_bench_start_lines", 0)
-    records = []
-    with open(BENCH_JSONL, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            if lineno < start or not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                return  # leave the broken file for check_bench_json to name
-    if not records:
-        return
-    try:
-        appended = append_trajectory(
-            BENCH_TRAJECTORY, records, session="bench"
-        )
-    except (OSError, ValueError) as exc:
-        print(f"\n[repro] trajectory not updated: {exc}")
-        return
-    if appended:
-        print(f"\n[repro] appended {appended} point(s) to {BENCH_TRAJECTORY}")
-
-
-def _maybe_prune() -> None:
-    """Honour REPRO_BENCH_PRUNE: compact the artifacts after the append."""
-    if not BENCH_PRUNE:
+    """Honour REPRO_BENCH_PRUNE: compact the runs file after the session."""
+    if not (BENCH_PRUNE and BENCH_JSONL and os.path.exists(BENCH_JSONL)):
         return
     keep = int(BENCH_PRUNE) if BENCH_PRUNE.isdigit() else None
-    for label, path, fn in (
-        ("runs", BENCH_JSONL, prune_runs),
-        ("trajectory", BENCH_TRAJECTORY, prune_trajectory),
-    ):
-        if not (path and os.path.exists(path)):
-            continue
-        try:
-            kept, dropped = fn(path, keep_per_key=keep)
-        except (OSError, ValueError, ParameterError) as exc:
-            print(f"\n[repro] {label} not pruned: {exc}")
-            continue
-        if dropped:
-            print(f"\n[repro] pruned {path}: kept {kept}, dropped {dropped}")
+    try:
+        kept, dropped = prune_runs(BENCH_JSONL, keep_per_key=keep)
+    except (OSError, ValueError, ParameterError) as exc:
+        print(f"\n[repro] runs not pruned: {exc}")
+        return
+    if dropped:
+        print(f"\n[repro] pruned {BENCH_JSONL}: kept {kept}, "
+              f"dropped {dropped}")
 
 
 @pytest.fixture

@@ -7,8 +7,7 @@ Usage::
 
 Reads ``repro.run/1`` records from the runs file (default
 ``BENCH_RUNS.jsonl``, the file the benchmark session appends to), compares
-them against the committed baseline (default ``BENCH_BASELINE.json``), and
-appends one trajectory point per record to ``BENCH_TRAJECTORY.json``.
+them against the committed baseline (default ``BENCH_BASELINE.json``).
 
 Modes:
 
@@ -24,18 +23,17 @@ Modes:
   deltas that explain it (with critical-path shares, what-if projections,
   and the unattributed residual), rendered to stdout and — with
   ``--attrib PATH`` — written as validated JSONL.
-* **prune mode** (``--prune``) — compact the append-only files instead of
-  gating: drop verbatim-duplicate entries from the runs JSONL and the
-  trajectory, and with ``--prune-keep N`` also superseded entries beyond
-  the newest N per run key.  Exits 0 after printing what was dropped.
+* **prune mode** (``--prune``) — compact the append-only runs JSONL
+  instead of gating: drop verbatim-duplicate records, and with
+  ``--prune-keep N`` also superseded records beyond the newest N per run
+  key.  Exits 0 after printing what was dropped.
 
 Options::
 
     --runs PATH          run records to judge      [BENCH_RUNS.jsonl]
     --baseline PATH      baseline document         [BENCH_BASELINE.json]
-    --trajectory PATH    history file ('' = skip)  [BENCH_TRAJECTORY.json]
     --record             force recording mode (re-snapshot the baseline)
-    --prune              compact runs + trajectory files, then exit
+    --prune              compact the runs file, then exit
     --prune-keep N       with --prune: keep only the newest N per run key
     --attrib PATH        on regression, write repro.attrib/1 JSONL here
     --classes C [C ...]  metric classes to gate on [wall modeled accuracy]
@@ -43,12 +41,11 @@ Options::
                          The batch-engine amortized timings from
                          ``bench_batch_engine.py`` — ``*_wall_s`` and the
                          dimensionless ``batch_speedup_x`` — class as
-                         ``wall``/skipped, so they trend in the trajectory
-                         without ever failing the machine-independent gate)
+                         ``wall``/skipped, so they never fail the
+                         machine-independent gate)
     --wall-threshold F / --modeled-threshold F / --accuracy-threshold F /
     --memory-threshold F
                          per-class relative thresholds
-    --session TAG        tag trajectory points with a session label
     --json               print the machine-readable verdict document
 
 Exit codes: 0 ok / recorded, 1 confirmed regression, 2 usage/IO errors.
@@ -67,12 +64,10 @@ sys.path.insert(0, os.path.join(_ROOT, "src"))
 
 from repro.obs import (  # noqa: E402
     GateConfig,
-    append_trajectory,
     attribute_verdict,
     compare_to_baseline,
     make_baseline,
     prune_runs,
-    prune_trajectory,
     render_attrib_record,
     render_verdict,
     validate_attrib_record,
@@ -90,11 +85,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--runs", default="BENCH_RUNS.jsonl")
     parser.add_argument("--baseline", default="BENCH_BASELINE.json")
-    parser.add_argument("--trajectory", default="BENCH_TRAJECTORY.json")
     parser.add_argument("--record", action="store_true",
                         help="snapshot a fresh baseline instead of gating")
     parser.add_argument("--prune", action="store_true",
-                        help="compact the runs/trajectory files, then exit")
+                        help="compact the runs file, then exit")
     parser.add_argument("--prune-keep", type=int, default=None,
                         metavar="N",
                         help="with --prune: newest N records per run key")
@@ -106,7 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--modeled-threshold", type=float, default=None)
     parser.add_argument("--accuracy-threshold", type=float, default=None)
     parser.add_argument("--memory-threshold", type=float, default=None)
-    parser.add_argument("--session", default=None)
     parser.add_argument("--json", action="store_true", dest="as_json")
     return parser
 
@@ -168,12 +161,6 @@ def main(argv: list[str] | None = None) -> int:
             )
             print(f"bench_gate: pruned {args.runs}: kept {kept}, "
                   f"dropped {dropped}")
-            if args.trajectory and os.path.exists(args.trajectory):
-                kept, dropped = prune_trajectory(
-                    args.trajectory, keep_per_key=args.prune_keep
-                )
-                print(f"bench_gate: pruned {args.trajectory}: kept {kept}, "
-                      f"dropped {dropped}")
         except (OSError, ValueError, ParameterError) as exc:
             print(f"bench_gate: prune failed: {exc}", file=sys.stderr)
             return 2
@@ -185,18 +172,6 @@ def main(argv: list[str] | None = None) -> int:
     if not records:
         print(f"bench_gate: {args.runs!r} holds no records", file=sys.stderr)
         return 2
-
-    if args.trajectory:
-        try:
-            appended = append_trajectory(
-                args.trajectory, records, session=args.session
-            )
-        except (OSError, ValueError) as exc:
-            print(f"bench_gate: cannot append trajectory: {exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"bench_gate: appended {appended} point(s) to "
-              f"{args.trajectory}")
 
     recording = args.record or not os.path.exists(args.baseline)
     if recording:

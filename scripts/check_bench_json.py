@@ -29,15 +29,10 @@ With no paths, scans the repository root for ``BENCH_*.json`` files and
   present (records predate the process-pool executor);
 * ``WISDOM.json`` (the committed auto-tuner store) is JSONL despite its
   extension and is validated line-by-line like any other wisdom stream;
-* ``LINT_BASELINE.json`` (the static-analysis gate's artifact) must be a
-  valid ``repro.lintbase/1`` fingerprint snapshot
-  (``repro.analysis.staticcheck.validate_lint_baseline``, the check
-  ``scripts/lint_gate.py`` applies when it reads the baseline);
-* ``BENCH_*.json`` declaring ``"schema": "repro.baseline/1"`` or
-  ``"repro.trajectory/1"`` (the regression-gate artifacts
-  ``BENCH_BASELINE.json`` / ``BENCH_TRAJECTORY.json``) are validated with
-  the shared ``repro.obs`` validators, which name the offending entry /
-  point index in every message;
+* ``BENCH_*.json`` declaring ``"schema": "repro.baseline/1"`` (the
+  regression-gate artifact ``BENCH_BASELINE.json``) is validated with the
+  shared ``repro.obs`` validator, which names the offending entry in
+  every message;
 * other ``BENCH_*.json`` in pytest-benchmark format (a top-level
   ``benchmarks`` array) must give every entry a ``name`` and ``stats``.
 
@@ -58,17 +53,14 @@ sys.path.insert(0, os.path.join(_ROOT, "src"))
 
 from repro.analysis.staticcheck import (  # noqa: E402
     LINT_SCHEMA,
-    validate_lint_baseline,
     validate_lint_record,
 )
 from repro.obs import (  # noqa: E402
     ATTRIB_SCHEMA,
     BASELINE_SCHEMA,
-    TRAJECTORY_SCHEMA,
     validate_attrib_record,
     validate_baseline,
     validate_run_record,
-    validate_trajectory,
 )
 from repro.tune import (  # noqa: E402
     WISDOM_SCHEMA,
@@ -170,16 +162,6 @@ def check_jsonl(path: str) -> list[str]:
     return problems
 
 
-def check_lint_baseline(path: str) -> list[str]:
-    """Problems found in a ``repro.lintbase/1`` fingerprint snapshot."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        return [f"{path}: not JSON ({exc})"]
-    return [f"{path}: {p}" for p in validate_lint_baseline(doc)]
-
-
 def check_bench_json(path: str) -> list[str]:
     """Problems found in a BENCH_*.json artifact."""
     try:
@@ -192,8 +174,6 @@ def check_bench_json(path: str) -> list[str]:
     basename = os.path.basename(path)
     if schema == BASELINE_SCHEMA or basename == "BENCH_BASELINE.json":
         return [f"{path}: {p}" for p in validate_baseline(doc)]
-    if schema == TRAJECTORY_SCHEMA or basename == "BENCH_TRAJECTORY.json":
-        return [f"{path}: {p}" for p in validate_trajectory(doc)]
     if isinstance(doc, dict) and "benchmarks" in doc:
         entries = doc["benchmarks"]
         if not isinstance(entries, list):
@@ -216,7 +196,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     paths = args or sorted(
         glob.glob(os.path.join(_ROOT, "BENCH_*.json"))
-        + glob.glob(os.path.join(_ROOT, "LINT_BASELINE.json"))
         + glob.glob(os.path.join(_ROOT, "WISDOM.json"))
         + glob.glob(os.path.join(_ROOT, "*.jsonl"))
     )
@@ -233,8 +212,6 @@ def main(argv: list[str] | None = None) -> int:
             # The wisdom store is JSONL despite the .json extension
             # (append-only atomic writes want line granularity).
             problems += check_jsonl(path)
-        elif os.path.basename(path) == "LINT_BASELINE.json":
-            problems += check_lint_baseline(path)
         else:
             problems += check_bench_json(path)
     for problem in problems:

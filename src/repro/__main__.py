@@ -1,4 +1,4 @@
-"""Package-level CLI: ``python -m repro [n_log2] [k]`` / ``python -m repro report``.
+"""Package-level CLI: ``python -m repro [n_log2] [k]`` / ``python -m repro why``.
 
 The default (demo) form runs one end-to-end sparse transform (default
 n = 2^18, k = 64), checks it against the dense FFT, and shows the simulated
@@ -29,20 +29,14 @@ Observability flags:
   The *resolved* backend (after optional-dependency fallback) is echoed
   in text output and in the ``repro.run/1`` record's params.
 
-``python -m repro report`` is the terminal dashboard over the committed
-performance artifacts: trajectory sparklines per experiment
-(``BENCH_TRAJECTORY.json``), the gate verdict of the latest run records
-against the baseline, and the per-step self-time attribution of the most
-recent record (``--flame PATH`` additionally writes a flamegraph
-collapsed-stack file).
-
-``python -m repro why`` answers the question ``report`` raises: *why* is
-the run slow?  It computes the critical path of the newest run record
-(per-stage path share + Amdahl what-if projections), attributes any
+``python -m repro why`` is the one reader of run records and baselines:
+*why* is the run slow?  It computes the critical path of the newest run
+record (per-stage path share + Amdahl what-if projections), attributes any
 confirmed regression against the baseline to the span deltas that explain
-it (``repro.attrib/1`` records; ``--json`` emits them as JSONL), diffs
-two arbitrary records with ``--diff A B``, and writes differential
-collapsed-stack flamegraphs with ``--flame PATH``.
+it (``repro.attrib/1`` records; ``--json`` emits them as JSONL), and diffs
+two arbitrary records with ``--diff A B``.  ``--flame PATH`` writes
+collapsed-stack flamegraphs: differential ones when there are two runs to
+compare, the newest record's plain stacks when its key has only one.
 
 Exit codes: 0 success, 1 incomplete recovery (demo), 2 malformed
 arguments / unreadable artifacts.
@@ -60,7 +54,6 @@ import numpy as np
 
 from . import make_sparse_signal, sfft
 from .cusim import render_summary, render_timeline
-from .errors import ParameterError
 from .gpu import OPTIMIZED, CusFFT
 from .obs import (
     MetricsRegistry,
@@ -74,15 +67,11 @@ from .obs import (
     diff_collapsed_stacks,
     make_run_record,
     render_attrib_record,
-    render_attribution,
     render_critical_path,
     render_obs_summary,
-    render_trajectory_dashboard,
-    render_verdict,
     validate_attrib_record,
     validate_baseline,
     validate_run_record,
-    validate_trajectory,
 )
 
 #: n = 2^n_log2 must stay addressable and fit comfortably in host memory.
@@ -210,148 +199,6 @@ def _gate_block(record: dict, baseline_path: str | None = None) -> dict:
     return {"baseline": path, **verdict.to_json()}
 
 
-def _build_report_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro report",
-        description="Terminal dashboard over the performance artifacts.",
-    )
-    parser.add_argument("--runs", default="BENCH_RUNS.jsonl",
-                        help="run-record JSONL to judge and attribute")
-    parser.add_argument("--baseline", default=None,
-                        help="baseline document (default: "
-                             "$REPRO_BENCH_BASELINE or BENCH_BASELINE.json)")
-    parser.add_argument("--trajectory", default="BENCH_TRAJECTORY.json")
-    parser.add_argument("--flame", metavar="PATH",
-                        help="write flamegraph collapsed stacks of the "
-                             "latest record's spans")
-    parser.add_argument("--json", action="store_true", dest="as_json",
-                        help="machine-readable report document")
-    return parser
-
-
-def report_main(argv: list[str]) -> int:
-    """``python -m repro report`` — trajectory + gate + attribution views."""
-    parser = _build_report_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    baseline_path = args.baseline or os.environ.get(
-        "REPRO_BENCH_BASELINE", "BENCH_BASELINE.json"
-    )
-    baseline = trajectory = None
-    if os.path.exists(baseline_path):
-        baseline, err = _load_json(baseline_path, "baseline")
-        if baseline is None:
-            print(err, file=sys.stderr)
-            return 2
-        problems = validate_baseline(baseline)
-        if problems:
-            print(f"error: invalid baseline {baseline_path!r}: "
-                  f"{problems[0]}", file=sys.stderr)
-            return 2
-    if os.path.exists(args.trajectory):
-        trajectory, err = _load_json(args.trajectory, "trajectory")
-        if trajectory is None:
-            print(err, file=sys.stderr)
-            return 2
-        problems = validate_trajectory(trajectory)
-        if problems:
-            print(f"error: invalid trajectory {args.trajectory!r}: "
-                  f"{problems[0]}", file=sys.stderr)
-            return 2
-
-    records: list[dict] = []
-    if os.path.exists(args.runs):
-        with open(args.runs, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    print(f"error: {args.runs}:{lineno}: not JSON ({exc})",
-                          file=sys.stderr)
-                    return 2
-
-    verdict = None
-    if baseline is not None and records:
-        verdict = compare_to_baseline(baseline, records)
-
-    latest = records[-1] if records else None
-    flame_lines: list[str] = []
-    if latest is not None:
-        flame_lines = collapsed_stacks(latest.get("spans") or [])
-    if args.flame:
-        if not flame_lines:
-            print("error: no spans to export for --flame", file=sys.stderr)
-            return 2
-        try:
-            with open(args.flame, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(flame_lines) + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.flame!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-
-    if args.as_json:
-        doc = {
-            "schema": "repro.report/1",
-            "trajectory_points": len((trajectory or {}).get("points", [])),
-            "runs": len(records),
-            "verdict": verdict.to_json() if verdict is not None else None,
-            "collapsed_stacks": flame_lines,
-        }
-        print(json.dumps(doc, indent=2))
-        return 0
-
-    sections: list[str] = []
-    if trajectory is not None:
-        sections.append(
-            render_trajectory_dashboard(trajectory, baseline=baseline)
-        )
-    if verdict is not None:
-        sections.append(render_verdict(verdict))
-    if latest is not None:
-        key_meta = latest.get("name", "?")
-        entry = None
-        if baseline is not None:
-            from .obs.regress import run_key
-
-            key, _ = run_key(latest)
-            entry = baseline.get("entries", {}).get(key)
-        sections.append(render_attribution(
-            latest.get("spans") or [],
-            metrics=latest.get("metrics") or {},
-            baseline_entry=entry,
-            title=f"per-step attribution: {key_meta}",
-        ))
-        latest_spans = latest.get("spans") or []
-        if latest_spans:
-            sections.append(render_critical_path(
-                critical_path(latest_spans),
-                title=f"critical path: {key_meta}",
-            ))
-        try:
-            summary = attribute_run(baseline, records)
-        except ParameterError:  # latest record has no extractable metrics
-            summary = None
-        if summary is not None:
-            sections.append(render_attrib_record(summary))
-            sections.append("(deeper: python -m repro why [--flame PATH])")
-    if not sections:
-        print("(no observability artifacts found — run the benchmarks, "
-              "then scripts/bench_gate.py)")
-        return 0
-    print("\n\n".join(sections))
-    if args.flame:
-        print(f"\ncollapsed stacks written to {args.flame} "
-              f"(feed to flamegraph.pl or speedscope)")
-    return 0
-
-
 # --------------------------------------------------------------------------
 # why-analysis: `python -m repro why`
 # --------------------------------------------------------------------------
@@ -381,7 +228,9 @@ def _build_why_parser() -> argparse.ArgumentParser:
                         help="emit repro.attrib/1 records as JSONL")
     parser.add_argument("--flame", metavar="PATH",
                         help="write a differential collapsed-stack file "
-                             "(stack base_usec fresh_usec per line)")
+                             "(stack base_usec fresh_usec per line), or the "
+                             "newest record's stacks when its key has one "
+                             "run")
     return parser
 
 
@@ -499,11 +348,14 @@ def why_main(argv: list[str]) -> int:
             return 2
 
     if args.flame:
-        if flame_sides is None:
-            print("error: --flame needs two runs to diff (one more record "
-                  "under the same key, or --diff A B)", file=sys.stderr)
-            return 2
-        lines = diff_collapsed_stacks(*flame_sides)
+        if flame_sides is not None:
+            lines = diff_collapsed_stacks(*flame_sides)
+        else:
+            lines = collapsed_stacks(fresh_spans)
+            if not lines:
+                print("error: no spans to export for --flame",
+                      file=sys.stderr)
+                return 2
         try:
             with open(args.flame, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")
@@ -523,7 +375,10 @@ def why_main(argv: list[str]) -> int:
             critical_path(fresh_spans), what_if_factor=args.what_if,
         ))
     print("\n\n".join(blocks))
-    if args.flame:
+    if args.flame and flame_sides is None:
+        print(f"\ncollapsed stacks written to {args.flame} "
+              f"(feed to flamegraph.pl or speedscope)")
+    elif args.flame:
         print(f"\ndifferential collapsed stacks written to {args.flame} "
               f"(feed to flamegraph.pl --negate or difffolded workflows)")
     return 0
@@ -532,8 +387,6 @@ def why_main(argv: list[str]) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv[:1] == ["report"]:
-        return report_main(argv[1:])
     if argv[:1] == ["why"]:
         return why_main(argv[1:])
     if argv[:1] == ["lint"]:

@@ -36,11 +36,9 @@ _EXPORTS = {
     "kernel_battery": ".engine",
     "lint_tree": ".engine",
     "LINT_SCHEMA": ".findings",
-    "LINT_BASELINE_SCHEMA": ".findings",
     "Finding": ".findings",
     "Suppressions": ".findings",
     "validate_lint_record": ".findings",
-    "validate_lint_baseline": ".findings",
     "KernelCheck": ".races",
     "check_kernel": ".races",
     "detect_races": ".races",

@@ -13,8 +13,9 @@ rules (the battery is repo-level and skipped).
 stdout) for machine consumption — ``scripts/check_bench_json.py``
 validates the same schema.
 
-Exit codes: 0 no error findings, 1 error findings reported, 2 usage/IO
-errors.
+Exit codes: 0 no findings, 1 any finding reported (warnings included:
+this is the one lint gate, and the committed tree carries none), 2
+usage/IO errors.
 """
 
 from __future__ import annotations
@@ -98,4 +99,4 @@ def lint_main(argv: list[str]) -> int:
         )
         print(f"reprolint: {scope}: {len(errors)} error(s), "
               f"{len(warnings)} warning(s)")
-    return 1 if errors else 0
+    return 1 if findings else 0

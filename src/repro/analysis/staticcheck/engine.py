@@ -12,10 +12,9 @@ project's kernel contracts:
   ``race-detector-selfcheck`` error, so a silently broken detector cannot
   produce a green lint.
 
-Both feed :func:`collect_findings`, the single entry ``python -m repro
-lint`` and ``scripts/lint_gate.py`` share.  Shape/dtype contracts are not
-a lint engine: :mod:`.contracts` checks them against live arrays at
-runtime.
+Both feed :func:`collect_findings`, the single entry of ``python -m repro
+lint``.  Shape/dtype contracts are not a lint engine: :mod:`.contracts`
+checks them against live arrays at runtime.
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ Both engines — the kernel access checker and the AST linter — emit
 ``repro.lint/1`` JSON document per finding (JSONL, mirroring the
 ``repro.run/1`` run records), and :func:`validate_lint_record` is the
 shared schema check ``scripts/check_bench_json.py`` applies so the writer
-and CI cannot drift.  :func:`validate_lint_baseline` does the same for the
-``repro.lintbase/1`` fingerprint snapshot the lint gate compares against.
+and CI cannot drift.
 
 Suppression syntax, checked per physical line of the offending statement::
 
@@ -23,19 +22,14 @@ from dataclasses import dataclass
 
 from ...errors import ParameterError
 
-__all__ = ["LINT_SCHEMA", "LINT_BASELINE_SCHEMA", "SEVERITIES", "Finding",
-           "Suppressions", "validate_lint_record", "validate_lint_baseline"]
+__all__ = ["LINT_SCHEMA", "SEVERITIES", "Finding", "Suppressions",
+           "validate_lint_record"]
 
 #: Schema tag on every serialized finding.
 LINT_SCHEMA = "repro.lint/1"
 
-#: Schema tag of the lint gate's fingerprint snapshot
-#: (``LINT_BASELINE.json``).
-LINT_BASELINE_SCHEMA = "repro.lintbase/1"
-
-#: Allowed severities, in increasing order of consequence: ``warning``
-#: findings are reported but never fail the lint; ``error`` findings exit
-#: non-zero.
+#: Allowed severities, in increasing order of consequence.  Both fail
+#: ``python -m repro lint``: the committed tree carries no finding.
 SEVERITIES = ("warning", "error")
 
 _RULE_RE = re.compile(r"^[a-z][a-z0-9]*(-[a-z0-9]+)*$")
@@ -73,15 +67,6 @@ class Finding:
         """Human one-liner: ``path:line: severity: message [rule]``."""
         return (f"{self.anchor}: {self.severity}: {self.message} "
                 f"[{self.rule}]")
-
-    def fingerprint(self) -> str:
-        """Line-number-free identity for baseline comparison.
-
-        Fingerprints survive unrelated edits moving a finding up or down a
-        file — ``scripts/lint_gate.py`` fails only on fingerprints absent
-        from the recorded baseline.
-        """
-        return f"{self.rule}::{self.path}::{self.message}"
 
     def to_json(self) -> dict[str, object]:
         """One ``repro.lint/1`` record."""
@@ -160,27 +145,4 @@ def validate_lint_record(record: object) -> list[str]:
     if record.get("engine") not in ("ast", "race"):
         problems.append(f"engine must be 'ast' or 'race', "
                         f"got {record.get('engine')!r}")
-    return problems
-
-
-def validate_lint_baseline(doc: object) -> list[str]:
-    """Problems in a ``repro.lintbase/1`` document; empty means valid.
-
-    Shared by ``scripts/lint_gate.py`` (which reads the baseline) and
-    ``scripts/check_bench_json.py`` (which validates it in CI).
-    """
-    if not isinstance(doc, dict):
-        return [f"baseline must be a JSON object, got {type(doc).__name__}"]
-    problems: list[str] = []
-    if doc.get("schema") != LINT_BASELINE_SCHEMA:
-        problems.append(f"schema must be {LINT_BASELINE_SCHEMA!r}, "
-                        f"got {doc.get('schema')!r}")
-    fps = doc.get("fingerprints")
-    if not isinstance(fps, list):
-        problems.append("fingerprints must be an array")
-    else:
-        for i, fp in enumerate(fps):
-            if not isinstance(fp, str) or fp.count("::") < 2:
-                problems.append(f"fingerprints[{i}] must be a "
-                                "'rule::path::message' string")
     return problems

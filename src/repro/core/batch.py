@@ -18,11 +18,11 @@ without voting.  Loop 0 is screened signal by signal on its plain fold
 before any shifted fold.  The signals it does not certify run the paper's
 steps on the loops it left them, with the rows it already folded:
 
-1-2. permute + filter + fold, one fused gather per signal through the
+1-2. permute + filter + fold, one gather per signal and loop through the
      plan workspace (:meth:`~repro.core.workspace.PlanWorkspace.bin_fused`);
-3.   a single ``(S*L, B)`` batched bucket FFT — the shape a batched cuFFT
-     call would take;
-4.   one batched top-k over all ``S * v_loops`` voting rows
+3.   the batched bucket FFT, one ``(L, B)`` batch per signal written back
+     over its folds, so only one signal's output is alive beside them;
+4.   one batched top-k per signal over its ``v_loops`` voting rows
      (:func:`~repro.core.cutoff.cutoff_rows`);
 5.   sort-count voting, one sort per signal over its candidate keys, with
      no length-``n`` score array
@@ -457,11 +457,12 @@ def _fold_loop(X, ws, backend, ids, r, shifted, stage, signal_offset, *,
 
 def _bucket_rows(X, ws, backend, raw, binned, voters, stage, signal_offset):
     """Steps 1-3 for the signals in ``voters``: fold the loops phase
-    location did not (``raw`` holds the rest) and transform all of them
-    in one ``(V*L, B)`` batched bucket FFT; returns ``(V, L, B)``."""
+    location did not (``raw`` holds the rest) and transform them in place
+    of their folds, one ``(L, B)`` batch per signal; returns
+    ``(V, L, B)``."""
     B, L = ws.B, ws.loops
 
-    # Steps 1-2: one fused gather + fold per signal.
+    # Steps 1-2: one gather + fold per signal and loop.
     with stage("perm_filter", signals=len(voters), loops=L, B=B):
         for s in voters:
             first = int(binned[s])
@@ -470,9 +471,12 @@ def _bucket_rows(X, ws, backend, raw, binned, voters, stage, signal_offset):
     sub = raw if len(voters) == raw.shape[0] else raw[voters]
     reject_non_finite(sub, NON_FINITE_INPUT, signal_offset, ids=voters)
 
-    # Step 3: one batched bucket FFT.
+    # Step 3: one (L, B) FFT per signal; a stack-wide batch would hold
+    # a second (V, L, B) buffer beside the folds.
     with stage("bucket_fft", B=B, batch=sub.shape[0] * L):
-        return ws.bucket_fft(sub.reshape(-1, B), backend).reshape(sub.shape)
+        for i in range(sub.shape[0]):
+            sub[i] = ws.bucket_fft(sub[i], backend)
+    return sub
 
 
 def _locate_by_vote(rows, plan, voters, stage, signal_offset, *,
@@ -483,15 +487,12 @@ def _locate_by_vote(rows, plan, voters, stage, signal_offset, *,
     params = plan.params
     B, v_loops = params.B, params.voting_loops
 
-    # Step 4: batched cutoff over all (signal, voting-loop) rows at once.
+    # Step 4: batched cutoff over each signal's voting-loop rows; one
+    # signal's magnitudes at a time, for the same reason.
     with stage("cutoff", method=cutoff_method):
-        flat_sel = cutoff_rows(
-            np.abs(rows[:, :v_loops, :]).reshape(-1, B),
-            params.select_count,
-            method=cutoff_method,
-        )
         selected = [
-            flat_sel[i * v_loops:(i + 1) * v_loops]
+            cutoff_rows(np.abs(rows[i, :v_loops]), params.select_count,
+                        method=cutoff_method)
             for i in range(len(voters))
         ]
 

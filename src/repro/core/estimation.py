@@ -59,11 +59,14 @@ def _phase(freqs: np.ndarray, taus: np.ndarray, n: int) -> np.ndarray:
     of the exactly reduced phase at every ``n``, where a float
     ``tau*f/n`` carries an argument error that grows with ``tau*f``.
     """
-    m = (freqs[:, None] * taus[None, :]) % n
+    m = freqs[:, None] * taus[None, :]
+    m %= n
     h = n.bit_length() // 2
     lo = np.exp(-2j * np.pi * np.arange(1 << h) / n)
     hi = np.exp(-2j * np.pi * np.arange(0, n, 1 << h) / n)
-    return hi[m >> h] * lo[m & ((1 << h) - 1)]
+    out = hi[m >> h]
+    out *= lo[m & ((1 << h) - 1)]
+    return out
 
 
 @shape_contract("frequencies:(F,), bucket_rows:(L, B):complex128 -> (F, L)",
@@ -102,13 +105,25 @@ def loop_estimates(
     taus = np.array([p.tau for p in permutations], dtype=np.int64)
 
     # permuted position per (hit, loop); int64 is safe: f, sigma < n <= 2^31.
-    p = (freqs[:, None] * sigmas[None, :]) % n
-    hashed = ((p + n_div_b // 2) // n_div_b) % B
-    dist = p - ((p + n_div_b // 2) // n_div_b) * n_div_b  # signed offset o
-
-    z = rows[np.arange(L)[None, :], hashed]
-    g = filt.freq[(-dist) % n]
-    return n * z / g * _phase(freqs, taus, n)
+    # In place throughout, with the bits of ``n * z / g * phase``, so few
+    # (F, L) temporaries are alive at once: this is the voting route's peak.
+    p = freqs[:, None] * sigmas[None, :]
+    p %= n
+    c = p + n_div_b // 2
+    c //= n_div_b          # nearest bucket centre, before wrapping
+    p -= c * n_div_b       # signed offset o
+    c %= B                 # hashed bucket
+    z = rows[np.arange(L)[None, :], c]
+    del c
+    np.negative(p, out=p)
+    p %= n
+    g = filt.freq[p]
+    del p
+    z *= n
+    z /= g
+    del g
+    z *= _phase(freqs, taus, n)
+    return z
 
 
 def clean_loop_counts(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import partial
+from inspect import signature
 
 import numpy as np
 
@@ -31,11 +32,15 @@ from ..obs import MetricsRegistry, Tracer, global_registry
 from ..utils.rng import RngLike
 from ..utils.validation import as_complex_signal
 from .batch import STEP_NAMES, SparseFFTResult, run_serial
+from .parameters import derive_parameters
 from .params import ResolvedConfig, resolve_sfft_config
 from .plan import SfftPlan
 from .plan_cache import cached_plan
 
 __all__ = ["SparseFFTResult", "sfft", "STEP_NAMES"]
+
+#: The plan overrides a plan-less call may pass.
+_DERIVE_KEYS = frozenset(signature(derive_parameters).parameters) - {"n", "k"}
 
 
 def resolve_plan(
@@ -57,8 +62,16 @@ def resolve_plan(
     knobs resolve through :func:`~repro.core.params.resolve_sfft_config`
     (explicit > wisdom > paper defaults) and the plan comes from the
     process-level cache, so repeat calls of one shape pay filter synthesis
-    once.  The verdict's ``comb_width`` is the Comb width to run with.
+    once.  The verdict's ``comb_width`` is the Comb width to run with.  An
+    override :func:`~repro.core.parameters.derive_parameters` does not take
+    raises :class:`~repro.errors.ParameterError` naming it.
     """
+    unknown = sorted(set(overrides or ()) - _DERIVE_KEYS)
+    if unknown:
+        raise ParameterError(
+            f"unknown keyword(s) {unknown}; plan overrides are "
+            f"{sorted(_DERIVE_KEYS)}"
+        )
     if plan is not None:
         if overrides:
             raise ParameterError(

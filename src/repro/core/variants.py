@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
+from ..obs import MetricsRegistry
 from ..utils.rng import RngLike
 from ..utils.validation import as_complex_signal
 from .batch import run_serial
@@ -101,6 +102,7 @@ def sfft_batch(
     plan: SfftPlan | None = None,
     seed: RngLike = None,
     executor=None,
+    metrics: MetricsRegistry | None = None,
     **kwargs,
 ) -> list[SparseFFTResult]:
     """Transform a batch of equal-length signals under one shared plan.
@@ -108,8 +110,7 @@ def sfft_batch(
     ``signals`` is a ``(batch, n)`` array or a sequence of length-``n``
     arrays.  The plan (filter + permutation schedule) comes from the
     process-level cache when not supplied; the stack then runs through the
-    pipeline engine (:mod:`repro.core.batch`) — one ``(S*L, B)`` bucket
-    FFT and one batched cutoff for every signal.  Per-signal results match
+    pipeline engine (:mod:`repro.core.batch`).  Per-signal results match
     ``sfft(signals[s], plan=plan)`` exactly.  As in ``sfft``, only the
     samples the plan reads are checked for NaN or inf; the
     :class:`~repro.errors.ParameterError` names the first bad stack row.
@@ -125,7 +126,10 @@ def sfft_batch(
     bucket-FFT implementation (:mod:`repro.core.fft_backend`).  A wisdom
     hit (:mod:`repro.core.params`) may also supply those and a
     thread-mode executor width, unless the caller passed any of
-    ``executor``, ``fft_backend`` or ``fft_workers``.
+    ``executor``, ``fft_backend`` or ``fft_workers``.  ``metrics`` receives
+    each signal's ``sfft.*`` metrics and, when sharded, the
+    ``sfft.executor.*`` family (see :func:`~repro.core.batch.run_serial`
+    and :meth:`~repro.core.executor.ShardedExecutor.run`).
     """
     if isinstance(signals, np.ndarray):
         # Rows of a contiguous stack validate without copying; the fused
@@ -169,7 +173,7 @@ def sfft_batch(
             exec_kwargs["fft_backend"] = resolved.fft_backend
     X = stack if stack is not None else np.stack(rows)
     if executor is None:
-        return run_serial(X, plan, seed=seed, **exec_kwargs)
+        return run_serial(X, plan, seed=seed, metrics=metrics, **exec_kwargs)
     if not isinstance(executor, ShardedExecutor):
         raise ParameterError(
             f"executor must be a ShardedExecutor or an int worker "
@@ -183,4 +187,4 @@ def sfft_batch(
                 f"pass {key} to the ShardedExecutor, not alongside "
                 f"executor="
             )
-    return executor.run(X, plan, seed=seed, **exec_kwargs)
+    return executor.run(X, plan, seed=seed, metrics=metrics, **exec_kwargs)

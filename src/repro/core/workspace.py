@@ -293,17 +293,19 @@ class PlanWorkspace:
         *,
         first: int = 0,
     ) -> np.ndarray:
-        """Steps 1-2 for loops ``first..L-1`` at once: gather, tap, fold.
+        """Steps 1-2 for loops ``first..L-1``: gather, tap, fold.
 
-        One ``(L, rounds*B)`` ``np.take`` gather (the same bits as fancy
-        indexing, and faster) replaces the per-loop binner calls; the
-        reshape-sum fold produces the same ``(L, B)`` bucket matrix as
-        ``L`` :func:`~repro.core.binning.bin_vectorized` calls (row for
-        row).  ``first`` skips loops already binned: row
-        ``i`` is then loop ``first + i``, bit for bit the row a full call
-        returns, and bit for bit ``fold(window(x, first + i))``.  With
-        ``out`` omitted every call returns a fresh array, so concurrent
-        callers of one plan never share output.
+        Each loop is one :meth:`window` gather, tapped in place and
+        reshape-summed into its row, so only one loop's ``rounds*B``
+        samples are alive at a time (a stack-wide voting fold gathered all
+        of a signal's loops at once, the voting route's largest
+        transient); the rows are the same ``(L, B)`` bucket matrix as ``L``
+        :func:`~repro.core.binning.bin_vectorized` calls (row for row).
+        ``first`` skips loops already binned: row ``i`` is then loop
+        ``first + i``, bit for bit the row a full call returns, and bit for
+        bit ``fold(window(x, first + i))``.  With ``out`` omitted every call
+        returns a fresh array, so concurrent callers of one plan never
+        share output.
         """
         if x.size != self.n:
             raise ParameterError(
@@ -319,15 +321,12 @@ class PlanWorkspace:
             raise ParameterError(
                 f"out must have shape {shape}, got {buckets.shape}"
             )
-        gather = self.gather
-        if gather is None:
-            for i, r in enumerate(range(first, self.loops)):
-                self.fold(self.window(x, r), out=buckets[i])
-            return buckets
-        y = np.take(x, gather[first:])
-        y *= self.taps_flat
-        np.sum(y.reshape(self.loops - first, self.rounds, self.B),
-               axis=1, out=buckets)
+        for i, r in enumerate(range(first, self.loops)):
+            y = self.window(x, r)
+            y *= self.taps_flat
+            np.add.reduce(y.reshape(self.rounds, self.B), axis=0,
+                          out=buckets[i])
+            del y  # else it outlives the next loop's gather
         return buckets
 
     # -- one loop at a time (phase-first location) --------------------------

@@ -9,11 +9,9 @@ GPU (``repro.gpu`` / ``repro.cusim``), and the benchmark/experiment harness:
   under one ``sfft.*`` / ``cusim.*`` naming scheme;
 * run records — a JSONL schema (``repro.run/1``) benchmarks and experiments
   persist, validated by ``scripts/check_bench_json.py`` in CI;
-* baselines & trajectories — versioned snapshots (``repro.baseline/1``) and
-  append-only history (``repro.trajectory/1``) of run-record metrics, with
-  a noise-aware regression gate (``scripts/bench_gate.py``);
-* attribution reports — per-span self-time tables, flamegraph
-  collapsed-stack export, and trajectory sparkline dashboards;
+* baselines — versioned snapshots (``repro.baseline/1``) of run-record
+  metrics, with a noise-aware regression gate (``scripts/bench_gate.py``);
+* span self times and flamegraph collapsed stacks (:mod:`repro.obs.report`);
 * why-analysis — a critical-path engine over the span DAG with
   Amdahl-style what-if projections (:mod:`repro.obs.critical`),
   differential profiles, and automatic regression attribution emitting
@@ -62,26 +60,18 @@ from .metrics import (
 )
 from .regress import (
     BASELINE_SCHEMA,
-    TRAJECTORY_SCHEMA,
     GateConfig,
     GateVerdict,
     MetricCheck,
-    append_trajectory,
     compare_to_baseline,
     make_baseline,
-    make_trajectory_points,
     prune_runs,
-    prune_trajectory,
     render_verdict,
     validate_baseline,
-    validate_trajectory,
 )
 from .report import (
     collapsed_stacks,
-    render_attribution,
-    render_trajectory_dashboard,
     self_time_rows,
-    sparkline,
 )
 from .trace import CPU_TRACK, Span, Tracer, monotonic
 
@@ -104,24 +94,16 @@ __all__ = [
     "validate_run_record",
     "write_jsonl",
     "BASELINE_SCHEMA",
-    "TRAJECTORY_SCHEMA",
     "GateConfig",
     "GateVerdict",
     "MetricCheck",
-    "append_trajectory",
     "compare_to_baseline",
     "make_baseline",
-    "make_trajectory_points",
     "prune_runs",
-    "prune_trajectory",
     "render_verdict",
     "validate_baseline",
-    "validate_trajectory",
     "collapsed_stacks",
-    "render_attribution",
-    "render_trajectory_dashboard",
     "self_time_rows",
-    "sparkline",
     "ATTRIB_SCHEMA",
     "attribute_run",
     "attribute_verdict",

@@ -343,6 +343,24 @@ def attribute_verdict(
     return out
 
 
+def _headline_metric(experiment: str, names: Iterable[str]) -> str | None:
+    """The one metric a run key's attribution target compares."""
+    names = sorted(names)
+    preferred = [
+        f"span.{experiment}.total_s",
+        "results.sfft_wall_s",
+        "results.modeled_gpu_s",
+        "cusim.timeline.makespan_s",
+    ]
+    for name in preferred:
+        if name in names:
+            return name
+    for name in names:
+        if name.endswith("_s"):
+            return name
+    return names[0] if names else None
+
+
 def attribute_run(
     baseline: Mapping[str, Any] | None,
     records: Iterable[Mapping[str, Any]],
@@ -379,8 +397,6 @@ def attribute_run(
     target: dict[str, Any] | None = None
     candidates: list[dict[str, Any]] = []
     if base_metrics:
-        from .report import _headline_metric
-
         experiment = str(fresh_entry["meta"].get("experiment", "?"))
         shared = set(base_metrics) & set(fresh_metrics)
         headline = _headline_metric(experiment, shared)

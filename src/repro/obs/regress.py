@@ -1,4 +1,4 @@
-"""Baselines, trajectories, and the performance-regression gate.
+"""Baselines and the performance-regression gate.
 
 PR 1 made every path emit ``repro.run/1`` records; this module *consumes*
 them, closing the loop the sFFT evaluation literature runs on (runtime
@@ -7,9 +7,6 @@ vs. ``(n, k)`` trajectories, per-stage attribution):
 * a **baseline** (``repro.baseline/1``) snapshots the per-metric median and
   IQR of a set of run records, keyed by ``(experiment, n, k, variant)`` —
   the committed reference every future PR's numbers are judged against;
-* a **trajectory** (``repro.trajectory/1``) is an append-only series of
-  per-run metric points under the same keys — the repo's performance
-  history, renderable as sparklines by :mod:`repro.obs.report`;
 * :func:`compare_to_baseline` is the noise-aware gate: a fresh median must
   exceed the baseline median by a per-class relative threshold *plus* an
   IQR band *plus* an absolute floor before a regression is confirmed, so
@@ -43,7 +40,6 @@ from ..errors import ParameterError
 
 __all__ = [
     "BASELINE_SCHEMA",
-    "TRAJECTORY_SCHEMA",
     "METRIC_CLASSES",
     "GateConfig",
     "MetricCheck",
@@ -52,18 +48,13 @@ __all__ = [
     "extract_metrics",
     "collect_samples",
     "make_baseline",
-    "make_trajectory_points",
-    "append_trajectory",
     "compare_to_baseline",
     "prune_runs",
-    "prune_trajectory",
     "validate_baseline",
-    "validate_trajectory",
     "render_verdict",
 ]
 
 BASELINE_SCHEMA = "repro.baseline/1"
-TRAJECTORY_SCHEMA = "repro.trajectory/1"
 
 #: Metric classes the gate distinguishes (each with its own tolerance).
 METRIC_CLASSES = ("wall", "modeled", "accuracy", "memory")
@@ -316,7 +307,7 @@ def _iqr(values: list[float]) -> float:
 
 
 # --------------------------------------------------------------------------
-# baseline / trajectory documents
+# baseline documents
 # --------------------------------------------------------------------------
 
 def make_baseline(records: Iterable[Mapping], *, source: str = "bench_gate") -> dict:
@@ -336,66 +327,8 @@ def make_baseline(records: Iterable[Mapping], *, source: str = "bench_gate") -> 
     return {"schema": BASELINE_SCHEMA, "source": source, "entries": entries}
 
 
-def make_trajectory_points(
-    records: Iterable[Mapping], *, session: str | None = None
-) -> list[dict]:
-    """One trajectory point per record (append-only history rows)."""
-    points = []
-    for record in records:
-        key, meta = run_key(record)
-        metrics = {m: v for m, (_, v) in sorted(extract_metrics(record).items())}
-        if not metrics:
-            continue
-        point = {"key": key, **meta, "metrics": metrics}
-        if session is not None:
-            point["session"] = str(session)
-        points.append(point)
-    return points
-
-
-def append_trajectory(
-    path: str, records: Iterable[Mapping], *, session: str | None = None
-) -> int:
-    """Append points for ``records`` to the trajectory file at ``path``.
-
-    Creates the file when absent; returns the number of points appended.
-    The document is append-only by contract — existing points are never
-    rewritten.  Points whose ``(key, metrics)`` already appear verbatim
-    are skipped, so feeding the same runs file through both the bench
-    session hook and ``bench_gate`` does not double history (distinct
-    real runs always differ in their wall-clock floats).
-    """
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        problems = validate_trajectory(doc)
-        if problems:
-            raise ParameterError(
-                f"refusing to append to invalid trajectory {path}: {problems}"
-            )
-    else:
-        doc = {"schema": TRAJECTORY_SCHEMA, "points": []}
-    seen = {
-        json.dumps([p.get("key"), p.get("metrics")], sort_keys=True)
-        for p in doc["points"]
-    }
-    points = []
-    for point in make_trajectory_points(records, session=session):
-        ident = json.dumps([point.get("key"), point.get("metrics")],
-                           sort_keys=True)
-        if ident in seen:
-            continue
-        seen.add(ident)
-        points.append(point)
-    doc["points"].extend(points)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
-        fh.write("\n")
-    return len(points)
-
-
 # --------------------------------------------------------------------------
-# pruning: compact the append-only files without losing history semantics
+# pruning: compact the append-only runs file
 # --------------------------------------------------------------------------
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -441,53 +374,11 @@ def _keep_last_per_key(
     return mask
 
 
-def prune_trajectory(
-    path: str, *, keep_per_key: int | None = None
-) -> tuple[int, int]:
-    """Compact a ``repro.trajectory/1`` file in place.
-
-    Drops verbatim-duplicate points (same ``(key, metrics)`` identity the
-    append path dedupes on — duplicates can still accumulate when the file
-    predates deduplication or was concatenated) and, when ``keep_per_key``
-    is given, superseded points beyond the newest N per run key.
-    Surviving points keep their original relative order, so the document
-    stays a valid trajectory: history ordered oldest-to-newest, just
-    shorter.  Returns ``(kept, dropped)``.
-    """
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    problems = validate_trajectory(doc)
-    if problems:
-        raise ParameterError(
-            f"refusing to prune invalid trajectory {path}: {problems[:3]}"
-        )
-    points = doc["points"]
-    seen: set[str] = set()
-    deduped = []
-    for point in points:
-        ident = json.dumps([point.get("key"), point.get("metrics")],
-                           sort_keys=True)
-        if ident in seen:
-            continue
-        seen.add(ident)
-        deduped.append(point)
-    mask = _keep_last_per_key(
-        [str(p.get("key")) for p in deduped], keep_per_key
-    )
-    kept = [p for p, keep in zip(deduped, mask) if keep]
-    doc["points"] = kept
-    _atomic_write_text(
-        path, json.dumps(doc, separators=(",", ":")) + "\n"
-    )
-    return len(kept), len(points) - len(kept)
-
-
 def prune_runs(path: str, *, keep_per_key: int | None = None) -> tuple[int, int]:
     """Compact a ``repro.run/1`` JSONL file in place.
 
-    Same policy as :func:`prune_trajectory`: drop byte-identical duplicate
-    records, then (optionally) keep only the newest ``keep_per_key``
-    records per run key.  Refuses files with invalid lines rather than
+    Drops byte-identical duplicate records, then (optionally) keeps only
+    the newest ``keep_per_key`` records per run key.  Refuses files with invalid lines rather than
     silently discarding them.  Returns ``(kept, dropped)``.
     """
     from .export import validate_run_record
@@ -686,37 +577,4 @@ def validate_baseline(doc: Any) -> list[str]:
             count = stat.get("count")
             if not isinstance(count, int) or isinstance(count, bool) or count < 1:
                 problems.append(f"{mwhere}.count must be an integer >= 1")
-    return problems
-
-
-def validate_trajectory(doc: Any) -> list[str]:
-    """Problems in a ``repro.trajectory/1`` document (empty list = valid)."""
-    if not isinstance(doc, dict):
-        return [f"trajectory must be a JSON object, got {type(doc).__name__}"]
-    problems: list[str] = []
-    if doc.get("schema") != TRAJECTORY_SCHEMA:
-        problems.append(
-            f"schema must be {TRAJECTORY_SCHEMA!r}, got {doc.get('schema')!r}"
-        )
-    points = doc.get("points")
-    if not isinstance(points, list):
-        return problems + ["points must be an array"]
-    for i, point in enumerate(points):
-        where = f"points[{i}]"
-        if not isinstance(point, dict):
-            problems.append(f"{where} must be an object")
-            continue
-        key = point.get("key")
-        if not isinstance(key, str) or not key:
-            problems.append(f"{where}.key must be a non-empty string")
-        metrics = point.get("metrics")
-        if not isinstance(metrics, dict) or not metrics:
-            problems.append(f"{where}.metrics must be a non-empty object")
-            continue
-        for mname, value in metrics.items():
-            if not _is_number(value):
-                problems.append(
-                    f"{where}.metrics[{mname!r}] must be a number, "
-                    f"got {value!r}"
-                )
     return problems

@@ -1,20 +1,15 @@
-"""Attribution reports: self-time tables, collapsed stacks, trajectories.
+"""Span self times and collapsed stacks, the inputs of ``repro why``.
 
 The paper's optimization story (Fig. 2, Fig. 5/6) is told through
-per-stage cost attribution; this module renders that view from the
+per-stage cost attribution; this module derives it from the
 observability layer without touching raw Chrome traces:
 
-* :func:`self_time_rows` / :func:`render_attribution` — per-span *self*
-  time (own duration minus directly-nested children), per track, with the
-  run's ``sfft.*`` / ``cusim.*`` gauges inline and deltas against a
-  baseline entry when one is given;
+* :func:`self_time_rows` — per-span *self* time (own duration minus
+  directly-nested children), per track;
 * :func:`collapsed_stacks` — the classic flamegraph collapsed-stack text
   format (``frame;frame value``), derived from live-span nesting and the
   simulated per-stream timeline tracks (values in integer microseconds,
-  ready for ``flamegraph.pl`` or speedscope);
-* :func:`sparkline` / :func:`render_trajectory_dashboard` — the
-  performance history of ``repro.trajectory/1`` documents as one line per
-  ``(experiment, n, k, variant)`` key.
+  ready for ``flamegraph.pl`` or speedscope).
 
 Spans arrive either as live :class:`~repro.obs.trace.Span` objects or as
 the plain dicts stored in ``repro.run/1`` records; nesting is
@@ -23,22 +18,13 @@ reconstructed from interval containment per track, so both work.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 from .trace import as_span
 
-__all__ = [
-    "self_time_rows",
-    "collapsed_stacks",
-    "render_attribution",
-    "sparkline",
-    "render_trajectory_dashboard",
-]
+__all__ = ["self_time_rows", "collapsed_stacks"]
 
 _EPS = 1e-12
-
-#: Eight-level block ramp (the conventional terminal sparkline glyphs).
-SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
 
 def _nest(spans: Iterable[Any]) -> list[dict]:
@@ -139,174 +125,3 @@ def collapsed_stacks(
                 path.insert(0, root)
             add(path, self_s)
     return [f"{line} {usec}" for line, usec in sorted(frames.items())]
-
-
-def render_attribution(
-    spans: Iterable[Any],
-    *,
-    metrics: Mapping[str, Mapping] | None = None,
-    baseline_entry: Mapping | None = None,
-    title: str = "per-step attribution",
-) -> str:
-    """Self-time table with gauge values (and baseline deltas) inline.
-
-    ``metrics`` is a :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
-    dict; ``baseline_entry`` one ``entries[key]`` object from a
-    ``repro.baseline/1`` document — when given, each span row and gauge
-    shows its delta against the baseline median.
-    """
-    from ..utils.tables import format_seconds, format_table
-
-    base_metrics = (baseline_entry or {}).get("metrics", {})
-
-    def delta(metric_name: str, value: float) -> str:
-        stat = base_metrics.get(metric_name)
-        if not isinstance(stat, Mapping):
-            return "-"
-        base = stat.get("median")
-        if not isinstance(base, (int, float)) or base == 0:
-            return "-"
-        return f"{100.0 * (value - base) / base:+.1f}%"
-
-    rows = self_time_rows(spans)
-    total_self = sum(r["self_s"] for r in rows) or 1.0
-    # Baseline span metrics aggregate across tracks, so the delta must too
-    # (a per-stream row compared against the all-streams median would be
-    # wildly off for any multi-stream kernel).
-    name_totals: dict[str, float] = {}
-    for r in rows:
-        name_totals[r["name"]] = name_totals.get(r["name"], 0.0) + r["total_s"]
-    table_rows = [
-        [
-            r["track"],
-            r["name"],
-            r["calls"],
-            format_seconds(r["total_s"]),
-            format_seconds(r["self_s"]),
-            f"{100.0 * r['self_s'] / total_self:.1f}%",
-            delta(f"span.{r['name']}.total_s", name_totals[r["name"]]),
-        ]
-        for r in rows
-    ]
-    out = format_table(
-        ["track", "span", "calls", "total", "self", "self%", "vs base"],
-        table_rows,
-        title=title,
-    ) if rows else "(no spans)"
-
-    gauges = [
-        (name, state) for name, state in sorted((metrics or {}).items())
-        if isinstance(state, Mapping)
-        and isinstance(state.get("value"), (int, float))
-        and not isinstance(state.get("value"), bool)
-    ]
-    if gauges:
-        grows = [
-            [name, state.get("kind", "?"), f"{float(state['value']):.6g}",
-             delta(name, float(state["value"]))]
-            for name, state in gauges
-        ]
-        out += "\n\n" + format_table(
-            ["metric", "kind", "value", "vs base"], grows, title="gauges"
-        )
-    return out
-
-
-# --------------------------------------------------------------------------
-# trajectory dashboard
-# --------------------------------------------------------------------------
-
-def sparkline(values: Sequence[float], *, width: int | None = None) -> str:
-    """Block-character sparkline of ``values`` (empty input -> '')."""
-    vals = [float(v) for v in values]
-    if not vals:
-        return ""
-    if width is not None and len(vals) > width > 0:
-        # Keep the most recent points; the dashboard reads left-to-right
-        # as oldest-to-newest.
-        vals = vals[-width:]
-    lo, hi = min(vals), max(vals)
-    if hi - lo <= _EPS * max(1.0, abs(hi)):
-        return SPARK_CHARS[3] * len(vals)
-    span = hi - lo
-    return "".join(
-        SPARK_CHARS[min(len(SPARK_CHARS) - 1,
-                        int((v - lo) / span * len(SPARK_CHARS)))]
-        for v in vals
-    )
-
-
-def _headline_metric(experiment: str, names: Iterable[str]) -> str | None:
-    """Pick the one metric a key's dashboard row shows."""
-    names = sorted(names)
-    preferred = [
-        f"span.{experiment}.total_s",
-        "results.sfft_wall_s",
-        "results.modeled_gpu_s",
-        "cusim.timeline.makespan_s",
-    ]
-    for name in preferred:
-        if name in names:
-            return name
-    for name in names:
-        if name.endswith("_s"):
-            return name
-    return names[0] if names else None
-
-
-def render_trajectory_dashboard(
-    trajectory: Mapping,
-    *,
-    baseline: Mapping | None = None,
-    width: int = 24,
-) -> str:
-    """One sparkline row per run key from a ``repro.trajectory/1`` doc.
-
-    Shows the headline metric's history, its latest value, and — when a
-    baseline document is given — the latest value's delta against the
-    baseline median.
-    """
-    from ..utils.tables import format_seconds, format_table
-
-    points = trajectory.get("points") or []
-    series: dict[str, dict] = {}
-    for point in points:
-        if not isinstance(point, Mapping):
-            continue
-        key = point.get("key")
-        slot = series.setdefault(
-            key, {"experiment": point.get("experiment", "?"), "metrics": {}}
-        )
-        for mname, value in (point.get("metrics") or {}).items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                slot["metrics"].setdefault(mname, []).append(float(value))
-    if not series:
-        return "(empty trajectory)"
-
-    base_entries = (baseline or {}).get("entries", {})
-    rows = []
-    for key in sorted(series):
-        slot = series[key]
-        metric = _headline_metric(slot["experiment"], slot["metrics"])
-        if metric is None:
-            continue
-        values = slot["metrics"][metric]
-        latest = values[-1]
-        shown = (format_seconds(latest) if metric.endswith("_s")
-                 else f"{latest:.4g}")
-        stat = (base_entries.get(key) or {}).get("metrics", {}).get(metric)
-        if isinstance(stat, Mapping) and isinstance(
-            stat.get("median"), (int, float)
-        ) and stat["median"]:
-            vs = f"{100.0 * (latest - stat['median']) / stat['median']:+.1f}%"
-        else:
-            vs = "-"
-        rows.append([
-            key, metric, sparkline(values, width=width), len(values),
-            shown, vs,
-        ])
-    return format_table(
-        ["key", "metric", "trend", "runs", "latest", "vs base"],
-        rows,
-        title="performance trajectory",
-    )

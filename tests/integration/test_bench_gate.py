@@ -61,16 +61,14 @@ class TestBenchGateEndToEnd:
         gate = _load_script("bench_gate.py")
         runs = tmp_path / "BENCH_RUNS.jsonl"
         baseline = tmp_path / "BENCH_BASELINE.json"
-        trajectory = tmp_path / "BENCH_TRAJECTORY.json"
-        args = ["--runs", str(runs), "--baseline", str(baseline),
-                "--trajectory", str(trajectory)]
+        args = ["--runs", str(runs), "--baseline", str(baseline)]
 
         # 1. No baseline yet: recording mode is green and writes one.
         _write_runs(runs, plan, signal)
         assert gate.main(args) == 0
         out = capsys.readouterr().out
         assert "recording" in out
-        assert baseline.exists() and trajectory.exists()
+        assert baseline.exists()
 
         # 2. Unperturbed rerun: gate passes.
         runs.unlink()
@@ -96,12 +94,9 @@ class TestBenchGateEndToEnd:
         assert "span.perm_filter.total_s" in captured.err
         assert "REGRESSION" in captured.out
 
-        # The whole history is on the trajectory, and every artifact passes
-        # the shared validator.
-        doc = json.loads(trajectory.read_text())
-        assert len(doc["points"]) == 9
+        # Every artifact passes the shared validator.
         check = _load_script("check_bench_json.py")
-        assert check.main([str(baseline), str(trajectory), str(runs)]) == 0
+        assert check.main([str(baseline), str(runs)]) == 0
 
     def test_record_flag_resnapshots(self, tmp_path, capsys, plan_and_signal):
         plan, signal = plan_and_signal
@@ -109,8 +104,7 @@ class TestBenchGateEndToEnd:
         runs = tmp_path / "runs.jsonl"
         baseline = tmp_path / "base.json"
         _write_runs(runs, plan, signal, runs=1)
-        args = ["--runs", str(runs), "--baseline", str(baseline),
-                "--trajectory", ""]
+        args = ["--runs", str(runs), "--baseline", str(baseline)]
         assert gate.main(args) == 0
         first = baseline.read_text()
         assert gate.main([*args, "--record"]) == 0
@@ -130,8 +124,7 @@ class TestBenchGateEndToEnd:
         gate = _load_script("bench_gate.py")
         runs = tmp_path / "runs.jsonl"
         baseline = tmp_path / "base.json"
-        args = ["--runs", str(runs), "--baseline", str(baseline),
-                "--trajectory", ""]
+        args = ["--runs", str(runs), "--baseline", str(baseline)]
         _write_runs(runs, plan, signal)
         assert gate.main(args) == 0
 
@@ -174,63 +167,3 @@ class TestDemoGateBlock:
         assert record2["gate"]["baseline"] == "BENCH_BASELINE.json"
         assert record2["gate"]["status"] in ("ok", "regression")
         assert record2["gate"]["checks"]
-
-
-class TestReportCommand:
-    def test_dashboard_renders_artifacts(self, tmp_path, capsys,
-                                         plan_and_signal):
-        from repro.__main__ import main
-
-        plan, signal = plan_and_signal
-        runs = tmp_path / "runs.jsonl"
-        _write_runs(runs, plan, signal, runs=2)
-        gate = _load_script("bench_gate.py")
-        baseline = tmp_path / "base.json"
-        trajectory = tmp_path / "traj.json"
-        assert gate.main(["--runs", str(runs), "--baseline", str(baseline),
-                          "--trajectory", str(trajectory)]) == 0
-        capsys.readouterr()
-
-        flame = tmp_path / "stacks.txt"
-        assert main(["report", "--runs", str(runs),
-                     "--baseline", str(baseline),
-                     "--trajectory", str(trajectory),
-                     "--flame", str(flame)]) == 0
-        out = capsys.readouterr().out
-        assert "performance trajectory" in out
-        assert "regression gate" in out
-        assert "per-step attribution" in out
-        assert "perm_filter" in out
-        stacks = flame.read_text().strip().splitlines()
-        assert stacks and all(" " in l for l in stacks)
-
-    def test_report_json_document(self, tmp_path, capsys, plan_and_signal):
-        from repro.__main__ import main
-
-        plan, signal = plan_and_signal
-        runs = tmp_path / "runs.jsonl"
-        _write_runs(runs, plan, signal, runs=1)
-        assert main(["report", "--runs", str(runs),
-                     "--baseline", str(tmp_path / "absent.json"),
-                     "--trajectory", str(tmp_path / "absent2.json"),
-                     "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == "repro.report/1"
-        assert doc["runs"] == 1 and doc["verdict"] is None
-
-    def test_report_no_artifacts(self, tmp_path, capsys, monkeypatch):
-        from repro.__main__ import main
-
-        monkeypatch.chdir(tmp_path)
-        assert main(["report"]) == 0
-        assert "no observability artifacts" in capsys.readouterr().out
-
-    def test_report_rejects_corrupt_baseline(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        bad = tmp_path / "base.json"
-        bad.write_text("{not json")
-        assert main(["report", "--baseline", str(bad),
-                     "--runs", str(tmp_path / "none.jsonl"),
-                     "--trajectory", str(tmp_path / "none.json")]) == 2
-        assert "not JSON" in capsys.readouterr().err

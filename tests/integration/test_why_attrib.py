@@ -69,7 +69,7 @@ class TestAttributionEndToEnd:
         baseline = tmp_path / "base.json"
         attrib = tmp_path / "why.jsonl"
         args = ["--runs", str(runs), "--baseline", str(baseline),
-                "--trajectory", "", "--attrib", str(attrib)]
+                "--attrib", str(attrib)]
 
         _write_runs(runs, plan, signal)
         assert gate.main(args) == 0  # recording mode
@@ -138,8 +138,8 @@ class TestWhyCli:
         runs = tmp_path / "runs.jsonl"
         baseline = tmp_path / "base.json"
         _write_runs(runs, plan, signal, runs=2)
-        assert gate.main(["--runs", str(runs), "--baseline", str(baseline),
-                          "--trajectory", ""]) == 0
+        assert gate.main(["--runs", str(runs), "--baseline", str(baseline)]) \
+            == 0
         _write_runs(runs, plan, signal, runs=1)
         return runs, baseline
 
@@ -190,6 +190,25 @@ class TestWhyCli:
             stack, base, fresh = line.rsplit(" ", 2)
             assert stack and int(base) >= 0 and int(fresh) >= 0
 
+    def test_flame_on_one_record_writes_its_stacks(
+            self, tmp_path, capsys, monkeypatch, plan_and_signal):
+        # With one run under the key there is nothing to diff, so --flame
+        # writes that record's plain collapsed stacks.
+        from repro.__main__ import main
+        from repro.obs import collapsed_stacks
+
+        monkeypatch.chdir(tmp_path)  # no BENCH_BASELINE.json here
+        plan, signal = plan_and_signal
+        runs = tmp_path / "runs.jsonl"
+        _write_runs(runs, plan, signal, runs=1)
+        record = json.loads(runs.read_text())
+        folded = tmp_path / "one.folded"
+        assert main(["why", "--runs", str(runs), "--flame", str(folded)]) \
+            == 0
+        assert "collapsed stacks written" in capsys.readouterr().out
+        want = "\n".join(collapsed_stacks(record["spans"])) + "\n"
+        assert want.strip() and folded.read_text() == want
+
     def test_diff_mode(self, tmp_path, capsys, plan_and_signal):
         from repro.__main__ import main
 
@@ -226,6 +245,19 @@ class TestWhyCli:
                      "--baseline", str(tmp_path / "absent.json")]) == 2
         capsys.readouterr()
 
+    def test_corrupt_baseline_is_usage_error(self, tmp_path, capsys,
+                                             plan_and_signal):
+        from repro.__main__ import main
+
+        plan, signal = plan_and_signal
+        runs = tmp_path / "runs.jsonl"
+        _write_runs(runs, plan, signal, runs=1)
+        bad = tmp_path / "base.json"
+        bad.write_text("{not json")
+        assert main(["why", "--runs", str(runs),
+                     "--baseline", str(bad)]) == 2
+        assert "not JSON" in capsys.readouterr().err
+
     def test_bad_top_and_what_if_are_usage_errors(self, tmp_path, capsys):
         from repro.__main__ import main
 
@@ -243,8 +275,7 @@ class TestPruneMode:
         _write_runs(runs, plan, signal, runs=1)
         line = runs.read_text()
         runs.write_text(line * 3)  # two verbatim duplicates
-        assert gate.main(["--runs", str(runs), "--trajectory", "",
-                          "--prune"]) == 0
+        assert gate.main(["--runs", str(runs), "--prune"]) == 0
         out = capsys.readouterr().out
         assert "pruned" in out and "dropped 2" in out
         assert runs.read_text() == line
@@ -255,8 +286,8 @@ class TestPruneMode:
         gate = _load_script("bench_gate.py")
         runs = tmp_path / "runs.jsonl"
         _write_runs(runs, plan, signal, runs=4)
-        assert gate.main(["--runs", str(runs), "--trajectory", "",
-                          "--prune", "--prune-keep", "2"]) == 0
+        assert gate.main(["--runs", str(runs), "--prune",
+                          "--prune-keep", "2"]) == 0
         capsys.readouterr()
         assert len(runs.read_text().splitlines()) == 2
 
@@ -269,6 +300,5 @@ class TestPruneMode:
         gate = _load_script("bench_gate.py")
         runs = tmp_path / "runs.jsonl"
         runs.write_text('{"schema": "nope"}\n')
-        assert gate.main(["--runs", str(runs), "--trajectory", "",
-                          "--prune"]) == 2
+        assert gate.main(["--runs", str(runs), "--prune"]) == 2
         assert "prune failed" in capsys.readouterr().err

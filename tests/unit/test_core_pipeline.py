@@ -1,6 +1,8 @@
 """Unit tests for the sFFT pipeline stages: permutation, binning, subsampled
 FFT, cutoff, recovery, estimation."""
 
+import contextlib
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +18,7 @@ from repro.core import (
     cutoff,
     estimate_values,
     loop_estimates,
+    make_plan,
     noise_floor_threshold,
     permute_dense,
     permuted_indices,
@@ -25,9 +28,11 @@ from repro.core import (
     select_topk,
     subsample_spectrum,
 )
+from repro.core.batch import as_signal_stack, run_stack_pipeline
 from repro.core.estimation import _phase
 from repro.errors import ParameterError
-from repro.signals import make_sparse_signal
+from repro.obs import MetricsRegistry
+from repro.signals import add_awgn, make_sparse_signal
 
 
 def _unit_filter(n):
@@ -346,3 +351,43 @@ class TestEstimation:
         with pytest.raises(ParameterError, match="2\\^31"):
             loop_estimates(np.array([n - 1]), np.ones((1, B), complex),
                            [perm], _unit_filter(n), B)
+
+
+def test_voting_stages_hold_one_signal_beside_the_fold_buffer():
+    # The voting fold, bucket FFT and cutoff work one signal (the fold one
+    # loop) at a time, so their traced peak stays within the (S, L, B)
+    # fold buffer plus two of one signal's (L, B) rows; a signal's whole
+    # gather, a stack-wide FFT output or |rows| would not.
+    n, k, S = 1 << 14, 16, 6
+    plan = make_plan(n, k, seed=5)
+    X = as_signal_stack(np.stack([
+        add_awgn(make_sparse_signal(n, k, seed=s).time, 20.0, seed=s)[0]
+        for s in range(S)
+    ]), plan)
+    plan.workspace().build()
+    run_stack_pipeline(X, plan)  # warm the FFT backend's plan cache
+    L, B = plan.params.loops, plan.params.B
+    peaks = {}
+
+    @contextlib.contextmanager
+    def stage(name, **attrs):
+        # The phase route's screen has stages of these names too.
+        voting = (name == "perm_filter" and attrs["signals"] == S
+                  or name == "bucket_fft" and attrs["batch"] == S * L
+                  or name == "cutoff" and attrs["method"] == "topk")
+        tracemalloc.reset_peak()
+        yield
+        if voting:
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+
+    registry = MetricsRegistry()
+    tracemalloc.start()
+    try:
+        run_stack_pipeline(X, plan, stage=stage, metrics=registry)
+    finally:
+        tracemalloc.stop()
+    assert registry.counter("sfft.location.vote").value == S
+    rows = L * B * np.dtype(np.complex128).itemsize
+    assert set(peaks) == {"perm_filter", "bucket_fft", "cutoff"}
+    for name, peak in peaks.items():
+        assert peak < S * rows + 2 * rows, name

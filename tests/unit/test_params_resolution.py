@@ -18,6 +18,7 @@ from repro.core.params import (
     resolve_sfft_config,
 )
 from repro.core.parameters import derive_parameters
+from repro.errors import ParameterError
 from repro.obs import MetricsRegistry, global_registry
 from repro.signals import make_sparse_signal
 from repro.tune import (
@@ -232,3 +233,25 @@ class TestTransformConsumption:
         assert global_registry().counter("sfft.wisdom.hit").value == 1
         assert not any(name.startswith("sfft.wisdom.")
                        for name in registry.names())
+
+
+class TestEntryPointKeywords:
+    @pytest.mark.parametrize("call", ["sfft", "sfft_batch"])
+    def test_unknown_keyword_is_named(self, call):
+        x = make_sparse_signal(N, K, seed=77).time
+        with pytest.raises(ParameterError, match="'lopps'"):
+            if call == "sfft":
+                sfft(x, K, lopps=3)
+            else:
+                sfft_batch(x[None], K, lopps=3)
+
+    @pytest.mark.parametrize("executor,counter", [
+        (None, "sfft.location.phase"), (2, "sfft.executor.signals"),
+    ])
+    def test_sfft_batch_takes_metrics_with_a_plan(self, executor, counter):
+        plan = make_plan(N, K, seed=3)
+        X = np.stack([make_sparse_signal(N, K, seed=s).time
+                      for s in range(4)])
+        registry = MetricsRegistry()
+        sfft_batch(X, plan=plan, executor=executor, metrics=registry)
+        assert registry.counter(counter).value == 4

@@ -1,4 +1,4 @@
-"""Unit tests for baselines, trajectories, and the regression gate."""
+"""Unit tests for baselines, run pruning, and the regression gate."""
 
 import json
 
@@ -6,20 +6,15 @@ import pytest
 
 from repro.obs import (
     BASELINE_SCHEMA,
-    TRAJECTORY_SCHEMA,
     GateConfig,
     MetricsRegistry,
     Tracer,
-    append_trajectory,
     compare_to_baseline,
     make_baseline,
     make_run_record,
-    make_trajectory_points,
     prune_runs,
-    prune_trajectory,
     render_verdict,
     validate_baseline,
-    validate_trajectory,
 )
 from repro.obs.regress import (
     collect_samples,
@@ -167,52 +162,6 @@ class TestBaseline:
         assert validate_baseline([]) != []
 
 
-class TestTrajectory:
-    def test_points_one_per_record(self):
-        points = make_trajectory_points(
-            [make_record(), make_record()], session="s1"
-        )
-        assert len(points) == 2
-        assert all(p["session"] == "s1" for p in points)
-        doc = {"schema": TRAJECTORY_SCHEMA, "points": points}
-        assert validate_trajectory(doc) == []
-
-    def test_append_creates_then_extends(self, tmp_path):
-        path = tmp_path / "BENCH_TRAJECTORY.json"
-        assert append_trajectory(path, [make_record()]) == 1
-        assert append_trajectory(
-            path,
-            [make_record(perm_filter_s=0.011),
-             make_record(perm_filter_s=0.012)],
-        ) == 2
-        doc = json.loads(path.read_text())
-        assert len(doc["points"]) == 3
-        assert validate_trajectory(doc) == []
-
-    def test_append_skips_verbatim_duplicates(self, tmp_path):
-        # The bench-session hook and bench_gate may both see the same
-        # runs file; identical (key, metrics) points must not double
-        # history.
-        path = tmp_path / "BENCH_TRAJECTORY.json"
-        assert append_trajectory(path, [make_record()]) == 1
-        assert append_trajectory(path, [make_record()], session="gate") == 0
-        assert len(json.loads(path.read_text())["points"]) == 1
-
-    def test_append_refuses_corrupt_file(self, tmp_path):
-        path = tmp_path / "BENCH_TRAJECTORY.json"
-        path.write_text('{"schema": "wrong", "points": []}')
-        with pytest.raises(ValueError):
-            append_trajectory(path, [make_record()])
-
-    def test_validator_names_offending_point_index(self):
-        doc = {"schema": TRAJECTORY_SCHEMA,
-               "points": [{"key": "a", "metrics": {"m": 1.0}},
-                          {"key": "", "metrics": {"m": "fast"}}]}
-        problems = validate_trajectory(doc)
-        assert any(p.startswith("points[1]") for p in problems)
-        assert not any(p.startswith("points[0]") for p in problems)
-
-
 class TestPrune:
     def _runs_file(self, tmp_path, records):
         path = tmp_path / "runs.jsonl"
@@ -249,26 +198,6 @@ class TestPrune:
         path = self._runs_file(tmp_path, [make_record()])
         with pytest.raises(ValueError):
             prune_runs(path, keep_per_key=0)
-
-    def test_trajectory_dedupe_and_keep(self, tmp_path):
-        points = make_trajectory_points(
-            [make_record(perm_filter_s=0.01 * (i + 1)) for i in range(3)],
-        )
-        path = tmp_path / "traj.json"
-        path.write_text(json.dumps(
-            {"schema": TRAJECTORY_SCHEMA, "points": points + points[:1]}
-        ))
-        assert prune_trajectory(path) == (3, 1)
-        assert prune_trajectory(path, keep_per_key=1) == (1, 2)
-        doc = json.loads(path.read_text())
-        assert validate_trajectory(doc) == []
-        assert len(doc["points"]) == 1
-
-    def test_trajectory_refuses_corrupt_doc(self, tmp_path):
-        path = tmp_path / "traj.json"
-        path.write_text('{"schema": "wrong", "points": []}')
-        with pytest.raises(ValueError):
-            prune_trajectory(path)
 
 
 class TestGate:

@@ -1,5 +1,4 @@
-"""Unit tests for attribution reports: self time, collapsed stacks,
-sparklines, and the trajectory dashboard."""
+"""Unit tests for span self times and collapsed stacks."""
 
 import pytest
 
@@ -9,15 +8,7 @@ from repro.cusim import (
     KernelSpec,
     kernel_self_times,
 )
-from repro.obs import (
-    Tracer,
-    collapsed_stacks,
-    make_baseline,
-    render_attribution,
-    render_trajectory_dashboard,
-    self_time_rows,
-    sparkline,
-)
+from repro.obs import Tracer, collapsed_stacks, self_time_rows
 
 
 class FakeClock:
@@ -130,75 +121,3 @@ class TestKernelSelfTimes:
         s = sim.stream()
         sim.memcpy(s, 1 << 20, "h2d")
         assert kernel_self_times(sim.run()) == []
-
-
-class TestSparkline:
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-    def test_constant_series_is_flat(self):
-        out = sparkline([5.0, 5.0, 5.0])
-        assert len(out) == 3 and len(set(out)) == 1
-
-    def test_monotone_series_rises(self):
-        out = sparkline([1, 2, 3, 4, 5, 6, 7, 8])
-        assert out[0] == "▁" and out[-1] == "█"
-
-    def test_width_keeps_most_recent(self):
-        out = sparkline([0, 0, 0, 9, 9, 9], width=3)
-        assert len(out) == 3 and len(set(out)) == 1
-
-
-class TestRenderAttribution:
-    def test_table_and_gauge_delta(self):
-        from repro.obs import MetricsRegistry, make_run_record
-
-        tr = _nested_tracer()
-        reg = MetricsRegistry()
-        reg.gauge("cusim.timeline.makespan_s").set(2.0)
-        record = make_run_record("demo", params={"n": 4, "k": 1},
-                                 tracer=tr, registry=reg)
-        baseline = make_baseline([record])
-        entry = baseline["entries"]["demo|n=4|k=1|default"]
-        out = render_attribution(record["spans"], metrics=record["metrics"],
-                                 baseline_entry=entry)
-        assert "perm_filter" in out and "self" in out
-        assert "cusim.timeline.makespan_s" in out
-        assert "+0.0%" in out  # identical to its own baseline
-
-    def test_no_spans(self):
-        assert "no spans" in render_attribution([])
-
-
-class TestTrajectoryDashboard:
-    def _trajectory(self, values):
-        return {
-            "schema": "repro.trajectory/1",
-            "points": [
-                {"key": "fig5a|n=None|k=None|default", "experiment": "fig5a",
-                 "metrics": {"span.fig5a.total_s": v}}
-                for v in values
-            ],
-        }
-
-    def test_sparkline_per_key(self):
-        out = render_trajectory_dashboard(self._trajectory([1.0, 2.0, 4.0]))
-        assert "fig5a" in out and "▁" in out and "█" in out
-
-    def test_empty(self):
-        assert "empty" in render_trajectory_dashboard({"points": []})
-
-    def test_baseline_delta_column(self):
-        traj = self._trajectory([1.0, 1.0, 2.0])
-        baseline = {
-            "schema": "repro.baseline/1",
-            "entries": {
-                "fig5a|n=None|k=None|default": {
-                    "metrics": {"span.fig5a.total_s": {
-                        "class": "wall", "median": 1.0, "iqr": 0.0,
-                        "count": 2}}
-                }
-            },
-        }
-        out = render_trajectory_dashboard(traj, baseline=baseline)
-        assert "+100.0%" in out

@@ -482,7 +482,6 @@ class TestFindingSchema:
         assert finding.render() == (
             "src/repro/x.py:3: error: boom [kernel-race]"
         )
-        assert finding.fingerprint() == "kernel-race::src/repro/x.py::boom"
 
     def test_invalid_records_name_the_field(self):
         problems = validate_lint_record({"schema": "repro.lint/1"})
@@ -539,6 +538,18 @@ class TestLintCli:
         assert lines
         for line in lines:
             assert validate_lint_record(json.loads(line)) == []
+
+    def test_warning_only_finding_exits_nonzero(self, monkeypatch, capsys):
+        # The lint is the one gate: a warning fails it as an error does.
+        from repro.analysis.staticcheck import cli
+
+        warning = Finding(rule="kernel-divergent-store", severity="warning",
+                          path="src/repro/x.py", line=1, message="diverged",
+                          engine="race")
+        monkeypatch.setattr(cli, "collect_findings",
+                            lambda root, kernels: [warning])
+        assert lint_main([]) == 1
+        assert "0 error(s), 1 warning(s)" in capsys.readouterr().out
 
     def test_missing_file_is_usage_error(self, capsys):
         assert lint_main(["/no/such/file.py"]) == 2

@@ -281,18 +281,3 @@ class TestCheckBenchJson:
         assert mod.main([str(bad)]) == 1
         err = capsys.readouterr().err
         assert key in err and "median" in err
-
-    def test_trajectory_schema_validated(self, tmp_path, capsys):
-        import json
-
-        mod = self._load()
-        doc = {"schema": "repro.trajectory/1",
-               "points": [{"key": "a", "metrics": {"m": 1.0}},
-                          {"key": "", "metrics": {}}]}
-        path = tmp_path / "BENCH_TRAJECTORY.json"
-        path.write_text(json.dumps(doc))
-        assert mod.main([str(path)]) == 1
-        assert "points[1]" in capsys.readouterr().err
-        doc["points"].pop()
-        path.write_text(json.dumps(doc))
-        assert mod.main([str(path)]) == 0
