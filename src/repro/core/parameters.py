@@ -118,7 +118,10 @@ class SfftParameters:
 #: sparse input is located by phase and its values solved against the
 #: exact filter coupling (:mod:`repro.core.phase`), so a flatter filter buys
 #: it nothing.  ``accurate`` buys ~1e-8 leakage for voted (noisy) input with
-#: a wider filter (support ~25*B taps) and must be asked for.
+#: a wider filter (support ~25*B taps) and must be asked for.  A profile
+#: sets both routes' filters: the phase plan
+#: (:func:`~repro.core.plan.phase_parameters`) keeps its tolerance and its
+#: lobe per bucket at ``B_phase`` buckets.
 PROFILES = {
     "accurate": {"lobefrac_times_B": 0.25, "tolerance": 1e-8},
     "fast": {"lobefrac_times_B": 0.5, "tolerance": 1e-6},

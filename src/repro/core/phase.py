@@ -3,9 +3,12 @@
 For an exactly sparse spectrum the engine
 (:func:`~repro.core.batch.run_stack_pipeline`) locates coefficients the
 way *Nearly Optimal Sparse Fourier Transform* (Hassanieh et al., the
-paper's reference [3]) does, from the plan's own loops, filter and
-gather, before any voting.  Rounds run in lockstep over the stack, one
-plan loop per round:
+paper's reference [3]) does, before any voting, on the plan's phase plan
+(:attr:`~repro.core.plan.SfftPlan.phase`: ``min(B, max(16k, 512))``
+buckets, the voting plan's permutations and tolerance; sFFT 3.0 needs
+only ``O(k)`` buckets for exactly sparse spectra).  :class:`PhaseStack`
+takes that plan; every loop, filter and gather below is its.  Rounds run
+in lockstep over the stack, one plan loop per round:
 
 * **fold** — loop ``r``'s samples ``x[(i*sigma_r + tau_r) mod n]`` are
   gathered once (``PlanWorkspace.window``) and folded as usual into
@@ -42,6 +45,11 @@ plan loop per round:
   input that bucket model is exact, so the values carry rounding error
   only.  Decoded values are not: decoding cannot see a transition-band
   neighbour's share of a bucket, since the shift barely turns its phase.
+  When the phase plan has fewer buckets than the voting plan (so it
+  reads fewer samples), the solve then takes one more step: each value
+  moves by the mean of its own bucket's residual estimates over every
+  loop consumed so far, which averages the rounding error of those reads
+  down.
 
 A signal goes to voting when loop 0 fails the screen (more than
 :data:`SCREEN_LIVE` live buckets per coefficient: noise lights every
@@ -58,11 +66,12 @@ route cannot certify costs at most two solves:
   next loop).
 
 Loop 0 decoding nothing is no reason: with few buckets all coefficients
-can collide in one loop.  The plain folds a signal made are kept, so
-voting sees the rows it would have binned itself and returns the same
-bits.  The order of the folds changes what is read, never a
-result: every signal takes the same loops and returns the same bits as
-with both folds made in every round.
+can collide in one loop.  Voting runs on the voting plan from scratch,
+except that when the phase plan *is* the voting plan a signal's loop-0
+plain fold is handed over, so voting sees the rows it would have binned
+itself and returns the same bits.  The order of the folds changes what
+is read, never a result: every signal takes the same loops and returns
+the same bits as with both folds made in every round.
 
 Every threshold is :data:`SLACK` times the plan's filter tolerance, the
 stop-band leakage each coefficient puts into every other bucket.  All
@@ -105,25 +114,29 @@ def _turn(m: np.ndarray, n: int) -> np.ndarray:
 class PhaseStack:
     """Phase-location state of an ``S``-signal stack.
 
-    Found coefficients are flat arrays sorted by ``key = s*n + f``, with
-    the loop and bucket each was decoded in (its equation in
-    :meth:`solve`).  ``urows[s, r]`` keeps signal ``s``'s bucket FFT of
-    loop ``r``, ``rounds[s]`` how many loops it consumed, ``solved[s]``
+    ``plan`` is the phase plan; ``refine`` asks :meth:`solve` to fit
+    every consumed loop (see :meth:`_solve`), which pays when the phase
+    plan has fewer buckets than the voting plan.  Found coefficients are
+    flat arrays sorted by ``key = s*n + f``, with the loop each was
+    decoded in.  ``urows[s, r]`` keeps signal ``s``'s bucket FFT of loop
+    ``r``, ``rounds[s]`` how many loops it consumed, ``solved[s]``
     whether its values are solved, and ``live[s]`` its live-bucket count
     per decode round.
     """
 
-    def __init__(self, plan, S: int):
+    def __init__(self, plan, S: int, *, refine: bool = False):
         self.plan = plan
+        self.refine = refine
         params = plan.params
         self.n, self.B, self.k = params.n, params.B, params.k
         self.freq = plan.filt.freq
+        self.sigma = np.array([q.sigma for q in plan.permutations])
+        self.tau = np.array([q.tau for q in plan.permutations])
         self.tol = SLACK * params.tolerance
         self.floor = np.zeros(S)
         self.keys = np.empty(0, dtype=np.int64)
         self.vals = np.empty(0, dtype=np.complex128)
         self.loops = np.empty(0, dtype=np.int64)
-        self.buckets = np.empty(0, dtype=np.int64)
         self.count = np.zeros(S, dtype=np.int64)
         self.urows = None  # (S, L, B), allocated once a signal passes
         self.rounds = np.zeros(S, dtype=np.int64)
@@ -226,7 +239,7 @@ class PhaseStack:
         pos = flat[ok] // B
         f = p[ok] * perm.sigma_inv & (n - 1)
         val = n * a[ok] / (g[ok] * _turn(f * perm.tau & (n - 1), n))
-        self._merge(running[pos] * n + f, val, r, m[ok])
+        self._merge(running[pos] * n + f, val, r)
         self.solved[running] = False
 
     # -- helpers --------------------------------------------------------
@@ -245,7 +258,7 @@ class PhaseStack:
         g *= (_turn(f * perm.tau & (n - 1), n) / n)[:, None]
         return (((p - d) // nb)[:, None] + _NEAR) & (B - 1), g, p
 
-    def _merge(self, keys, vals, r, buckets) -> None:
+    def _merge(self, keys, vals, r) -> None:
         """Add decoded ``(keys, vals)``: a coefficient found again is
         corrected (a wrong decode peeled back out cancels), and values
         peeled down to below the floor are dropped."""
@@ -257,54 +270,71 @@ class PhaseStack:
             keys = np.concatenate([self.keys, keys[new]])
             vals = np.concatenate([self.vals, vals[new]])
             loops = np.concatenate([self.loops, np.full(int(new.sum()), r)])
-            buckets = np.concatenate([self.buckets, buckets[new]])
         else:
             loops = np.full(keys.size, r)
         order = keys.argsort()
         order = order[np.abs(vals[order])
                       > self.floor[keys[order] // self.n] * self.n]
         self.keys, self.vals = keys[order], vals[order]
-        self.loops, self.buckets = loops[order], buckets[order]
+        self.loops = loops[order]
         self.count = np.bincount(self.keys // self.n,
                                  minlength=self.count.size)
 
-    def _solve(self, s: int, lo: int, hi: int) -> np.ndarray | None:
-        """Values of signal ``s`` (entries ``lo:hi``) from each one's
-        decode bucket, with every found coefficient's exact contribution
-        removed; ``None`` if the iteration does not converge (a NaN or an
-        overflow never does, and goes to voting, which rejects it)."""
-        n, nb = self.n, self.n // self.B
+    def _equations(self, s: int, lo: int, hi: int, loops: np.ndarray):
+        """Signal ``s``'s (entries ``lo:hi``) equations: row ``i`` of loop
+        ``loops[..., i]`` is the bucket entry ``i`` hashes to in that
+        loop.  ``loops`` is ``(K,)`` (one loop per entry) or ``(Q, 1)``
+        (every entry in each of ``Q`` loops).  Returns the filter response
+        of every found coefficient in those buckets ``(..., K, K)``, the
+        coefficients' twiddles ``e^{2 pi i f tau_q/n}/n`` per loop ``q``
+        up to the last one named (a response times its coefficient's
+        twiddle is its exact coupling) and the buckets' values
+        ``(..., K)``."""
+        n, nb, B = self.n, self.n // self.B, self.B
         F = self.keys[lo:hi] - s * n
-        loops, buckets = self.loops[lo:hi], self.buckets[lo:hi]
-        # Row i of A is the equation of coefficient order[i] (grouped by
-        # decode loop); A[i, j] is coefficient j's response in it.
-        order = loops.argsort(kind="stable")
-        A = np.empty((F.size, F.size), dtype=np.complex128)
-        u = np.empty(F.size, dtype=np.complex128)
-        start = 0
-        for q, size in enumerate(np.bincount(loops).tolist()):
-            if not size:
-                continue
-            perm = self.plan.permutations[q]
-            m = buckets[order[start:start + size]]
-            block = A[start:start + size]
-            self.freq.take(
-                (m[:, None] * nb - (F * perm.sigma & (n - 1))) & (n - 1),
-                out=block)
-            block *= _turn(F * perm.tau & (n - 1), n) / n
-            u[start:start + size] = self.urows[s, q, m]
-            start += size
-        d = A[np.arange(F.size), order]
+        Q = int(loops.max()) + 1
+        p = F * self.sigma[:Q, None] & (n - 1)
+        m = ((p[loops, np.arange(F.size)] + nb // 2) // nb) & (B - 1)
+        idx = m[..., None] * nb - p[loops]
+        idx &= n - 1
+        twiddle = _turn(F * self.tau[:Q, None] & (n - 1), n) / n
+        return self.freq.take(idx), twiddle, self.urows[s, loops, m]
+
+    def _solve(self, s: int, lo: int, hi: int) -> np.ndarray | None:
+        """Values of signal ``s`` (entries ``lo:hi``) with every found
+        coefficient's exact contribution removed; ``None`` if the
+        iteration does not converge (a NaN or an overflow never does, and
+        goes to voting, which rejects it).
+
+        A Jacobi iteration solves one equation per coefficient, its bucket
+        in the loop it was decoded in.  With :attr:`refine`, once the
+        signal has consumed more than one loop, one more step then moves
+        each value by the mean of its own bucket's residual estimates over
+        every consumed loop, which averages the rounding error of those
+        reads down."""
+        Q, decoded = int(self.rounds[s]), self.loops[lo:hi]
+        own = np.arange(decoded.size)
+        refine = self.refine and Q > 1
+        G, twiddle, u = self._equations(
+            s, lo, hi, np.arange(Q)[:, None] if refine else decoded)
+        A, ud = (G[decoded, own], u[decoded, own]) if refine else (G, u)
+        A = A * twiddle[decoded]
+        d = A[own, own]
         x = self.vals[lo:hi].copy()
         scale = float(np.abs(x).max())
-        for _ in range(2 * int(self.rounds[s]) + 8):
+        for _ in range(2 * Q + 8):
             # einsum, not A @ x: a multithreaded BLAS gemv overcommits
             # the cores when the executor's workers solve at once.
-            dx = (u - np.einsum("ij,j->i", A, x)) / d
-            x[order] += dx
+            dx = (ud - np.einsum("ij,j->i", A, x)) / d
+            x += dx
             if np.abs(dx).max() <= _SOLVE_TOL * scale:
-                return x
-        return None
+                break
+        else:
+            return None
+        if refine:
+            r = u - np.einsum("qij,qj->qi", G, twiddle * x)
+            x += (r / (G.diagonal(axis1=1, axis2=2) * twiddle)).mean(axis=0)
+        return x
 
     # -- results --------------------------------------------------------
 

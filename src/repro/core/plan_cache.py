@@ -17,7 +17,7 @@ Cache traffic is observable through the shared metrics registry
 * ``sfft.plan_cache.evictions`` — LRU entries displaced at capacity;
 * ``sfft.plan_cache.hit_rate``  — derived gauge, hits / (hits + misses);
 * ``sfft.plan_cache.bytes``     — resident footprint (:meth:`PlanCache.
-  nbytes`: filter arrays plus each plan's built workspace);
+  nbytes`: built filter arrays plus each plan's built workspaces);
 * ``sfft.plan_cache.entries``   — resident plan count.
 
 Keying notes:
@@ -195,21 +195,9 @@ class PlanCache:
 
     @staticmethod
     def plan_nbytes(plan: SfftPlan) -> int:
-        """Accountable bytes of one resident plan.
-
-        Filter arrays (time + frequency taps) plus the plan's cached
-        workspace when one has been built — via
-        :meth:`~repro.core.workspace.PlanWorkspace.memory_breakdown`,
-        which already excludes no-copy views of the filter, so nothing is
-        double counted.  Permutations and parameters are a few plain ints
-        each; they are deliberately left out so the sum stays exactly
-        reproducible from array shapes.
-        """
-        total = int(plan.filt.time.nbytes) + int(plan.filt.freq.nbytes)
-        ws = plan._workspace
-        if ws is not None:
-            total += int(ws.memory_breakdown()["total_bytes"])
-        return total
+        """Accountable bytes of one resident plan (:meth:`memory_breakdown`'s
+        ``total_bytes`` for it)."""
+        return _plan_breakdown(plan)["total_bytes"]
 
     def nbytes(self) -> int:
         """Total accountable bytes across every resident plan."""
@@ -221,32 +209,45 @@ class PlanCache:
         """Per-entry byte attribution, least recently used first.
 
         One dict per resident plan: shape (``n``, ``k``), the filter's
-        array bytes, the built workspace's gather/tap split (zeros
+        array bytes, the built workspaces' gather/tap split (zeros
         while the lazy arrays are untouched), and the entry total.
         """
         with self._lock:
             plans = list(self._plans.values())
-        out: list[dict] = []
-        for plan in plans:
-            entry: dict = {
-                "n": plan.n,
-                "k": plan.k,
-                "filter_bytes": int(plan.filt.time.nbytes)
-                + int(plan.filt.freq.nbytes),
-                "gather_bytes": 0,
-                "tap_bytes": 0,
-            }
-            ws = plan._workspace
-            if ws is not None:
-                breakdown = ws.memory_breakdown()
-                entry["gather_bytes"] = breakdown["gather_bytes"]
-                entry["tap_bytes"] = breakdown["tap_bytes"]
-            entry["total_bytes"] = (
-                entry["filter_bytes"] + entry["gather_bytes"]
-                + entry["tap_bytes"]
-            )
-            out.append(entry)
-        return out
+        return [_plan_breakdown(plan) for plan in plans]
+
+
+def _plan_breakdown(plan: SfftPlan) -> dict:
+    """Byte attribution of one plan, built parts only.
+
+    Filter arrays (time + frequency taps) of the phase plan, and of the
+    voting plan once a signal has voted, plus each route's workspace once
+    built — via
+    :meth:`~repro.core.workspace.PlanWorkspace.memory_breakdown`, which
+    already excludes no-copy views of the filter, so nothing is double
+    counted.  Accounting never forces a lazy filter or workspace.
+    Permutations and parameters are a few plain ints each; they are
+    deliberately left out so the sum stays exactly reproducible from
+    array shapes.
+    """
+    filters = {id(f): f for f in (plan.phase._filt, plan._filt)
+               if f is not None}
+    entry = {
+        "n": plan.n,
+        "k": plan.k,
+        "filter_bytes": sum(int(f.time.nbytes) + int(f.freq.nbytes)
+                            for f in filters.values()),
+        "gather_bytes": 0,
+        "tap_bytes": 0,
+    }
+    for ws in (plan._workspace, plan._voting_workspace):
+        if ws is not None:
+            breakdown = ws.memory_breakdown()
+            entry["gather_bytes"] += breakdown["gather_bytes"]
+            entry["tap_bytes"] += breakdown["tap_bytes"]
+    entry["total_bytes"] = (entry["filter_bytes"] + entry["gather_bytes"]
+                            + entry["tap_bytes"])
+    return entry
 
 
 _GLOBAL_CACHE = PlanCache()

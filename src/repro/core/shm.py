@@ -21,14 +21,17 @@ What crosses the process boundary is therefore *descriptors*, not bytes:
   ``shm-lifecycle`` rule keeps every creation site inside this module so
   that guarantee is auditable).
 * :class:`PlanDescriptor` — a whole :class:`~repro.core.plan.SfftPlan` +
-  :class:`~repro.core.workspace.PlanWorkspace` as primitives and specs:
-  resolved parameters, ``(sigma, tau)`` pairs (``sigma_inv`` is
-  re-derived, exactly like :func:`~repro.core.plan.load_plan`), filter
-  metadata, and specs for the filter taps / frequency response / gather
-  matrix / padded taps.
+  its phase-route :class:`~repro.core.workspace.PlanWorkspace` as
+  primitives and specs: resolved parameters, ``(sigma, tau)`` pairs
+  (``sigma_inv`` is re-derived, exactly like
+  :func:`~repro.core.plan.load_plan`), phase-filter metadata, and specs
+  for the phase filter's taps / frequency response / gather matrix /
+  padded taps.  The voting route is not shipped: a worker synthesizes it,
+  through the plan's filter backend, when one of its signals first votes.
 
 Worker-side, :func:`worker_lease` materializes a descriptor into a real
-plan and workspace whose derived arrays are **read-only views into the
+plan (through :func:`~repro.core.plan.assemble_plan`, like every plan) and
+a phase workspace whose derived arrays are **read-only views into the
 shared segment** (adopted via
 :meth:`~repro.core.workspace.PlanWorkspace.adopt_shared`).  Leases are cached in a small per-process LRU keyed
 by the descriptor's plan fingerprint: a warm worker re-runs shards of the
@@ -327,11 +330,13 @@ class AttachedSegment:
 class PlanDescriptor:
     """A plan + workspace as picklable primitives and array specs.
 
-    ``params`` is the :class:`~repro.core.parameters.SfftParameters`
-    field tuple; ``sigmas``/``taus`` rebuild the permutation schedule
-    (``sigma_inv`` is re-derived via ``mod_inverse``, the
-    :func:`~repro.core.plan.load_plan` idiom); ``filter_meta`` is
-    ``(window_name, lobefrac, tolerance, box_width)``.  ``arrays`` maps
+    ``params`` is the voting plan's
+    :class:`~repro.core.parameters.SfftParameters` field tuple;
+    ``sigmas``/``taus`` rebuild the permutation schedule (``sigma_inv`` is
+    re-derived via ``mod_inverse``, the :func:`~repro.core.plan.load_plan`
+    idiom); ``filter_meta`` is the phase filter's ``(window_name,
+    lobefrac, tolerance, box_width)`` and ``filter_backend`` the plan's
+    synthesis backend.  ``arrays`` maps
     ``filter_time`` / ``filter_freq`` / ``taps_flat`` (may alias
     ``filter_time`` byte-for-byte when the padded width equals the tap
     count) / optionally ``gather`` (absent above the workspace's gather
@@ -345,6 +350,7 @@ class PlanDescriptor:
     sigmas: tuple[int, ...]
     taus: tuple[int, ...]
     filter_meta: tuple
+    filter_backend: str
     arrays: dict[str, SharedArraySpec]
     fft_backend: str | None
     fft_workers: int
@@ -362,25 +368,28 @@ def plan_fingerprint(plan, fft_backend: str | None, fft_workers: int) -> str:
         p.n, p.k, p.B, p.loops, p.vote_threshold, p.select_count,
         p.window, p.tolerance, p.lobefrac, p.loc_loops,
         tuple((q.sigma, q.tau) for q in plan.permutations),
-        fft_backend, fft_workers,
+        plan.filter_backend, fft_backend, fft_workers,
     )).encode()
     return hashlib.sha1(payload).hexdigest()[:16]
 
 
 def plan_shared_arrays(plan, workspace) -> dict[str, np.ndarray]:
-    """The immutable arrays a plan ships to workers, keyed for packing.
+    """The immutable arrays a plan ships to workers, keyed for packing:
+    the phase plan's filter and its ``workspace`` (the plan's
+    :meth:`~repro.core.plan.SfftPlan.workspace`).
 
     Forces the workspace's lazy gather/taps first so every worker shares
     one materialization.  ``taps_flat`` is omitted when it *is* the
     filter's tap array (the no-copy case) — :func:`describe_plan` aliases
     the spec instead of double-packing the bytes.
     """
+    filt = plan.phase.filt
     arrays: dict[str, np.ndarray] = {
-        "filter_time": plan.filt.time,
-        "filter_freq": plan.filt.freq,
+        "filter_time": filt.time,
+        "filter_freq": filt.freq,
     }
     taps = workspace.taps_flat
-    if taps is not plan.filt.time:
+    if taps is not filt.time:
         arrays["taps_flat"] = taps
     gather = workspace.gather
     if gather is not None:
@@ -397,6 +406,7 @@ def describe_plan(
 ) -> PlanDescriptor:
     """Build the :class:`PlanDescriptor` for packed plan arrays."""
     p = plan.params
+    filt = plan.phase.filt
     arrays = dict(specs)
     if "taps_flat" not in arrays:
         # The padded taps were a no-copy view of the filter's own taps;
@@ -411,9 +421,9 @@ def describe_plan(
         sigmas=tuple(q.sigma for q in plan.permutations),
         taus=tuple(q.tau for q in plan.permutations),
         filter_meta=(
-            plan.filt.window_name, plan.filt.lobefrac,
-            plan.filt.tolerance, plan.filt.box_width,
+            filt.window_name, filt.lobefrac, filt.tolerance, filt.box_width,
         ),
+        filter_backend=plan.filter_backend,
         arrays=arrays,
         fft_backend=fft_backend,
         fft_workers=fft_workers,
@@ -424,9 +434,9 @@ class WorkerLease:
     """A worker process's materialized view of one shared plan.
 
     Holds the attached segments (keeping the pages mapped even after the
-    parent unlinks), the rebuilt :class:`~repro.core.plan.SfftPlan`, and a
-    :class:`~repro.core.workspace.PlanWorkspace` whose derived arrays are
-    read-only views into the shared segment.
+    parent unlinks), the rebuilt :class:`~repro.core.plan.SfftPlan`, and
+    its phase-route :class:`~repro.core.workspace.PlanWorkspace` whose
+    derived arrays are read-only views into the shared segment.
     """
 
     def __init__(self, plan, workspace, segments):
@@ -444,35 +454,32 @@ class WorkerLease:
 
 
 def _materialize_plan(desc: PlanDescriptor, view):
-    """Rebuild a real plan from a descriptor (worker side)."""
+    """Rebuild a real plan from a descriptor (worker side), its phase
+    filter over the shared arrays."""
     from ..filters.base import FlatFilter
     from ..utils.modmath import mod_inverse
     from .parameters import SfftParameters
     from .permutation import Permutation
-    from .plan import SfftPlan
+    from .plan import assemble_plan
 
-    (n, k, B, loops, vote_threshold, select_count, window, tolerance,
-     lobefrac, loc_loops) = desc.params
-    params = SfftParameters(
-        n=n, k=k, B=B, loops=loops, vote_threshold=vote_threshold,
-        select_count=select_count, window=window, tolerance=tolerance,
-        lobefrac=lobefrac, loc_loops=loc_loops,
-    )
-    window_name, f_lobefrac, f_tolerance, box_width = desc.filter_meta
-    filt = FlatFilter(
-        n=n,
+    params = SfftParameters(*desc.params)
+    window_name, lobefrac, tolerance, box_width = desc.filter_meta
+    phase_filt = FlatFilter(
+        n=params.n,
         time=view("filter_time"),
         freq=view("filter_freq"),
         window_name=window_name,
-        lobefrac=f_lobefrac,
-        tolerance=f_tolerance,
+        lobefrac=lobefrac,
+        tolerance=tolerance,
         box_width=box_width,
     )
     perms = tuple(
-        Permutation(n=n, sigma=s, sigma_inv=mod_inverse(s, n), tau=t)
+        Permutation(n=params.n, sigma=s, sigma_inv=mod_inverse(s, params.n),
+                    tau=t)
         for s, t in zip(desc.sigmas, desc.taus)
     )
-    return SfftPlan(params=params, filt=filt, permutations=perms)
+    return assemble_plan(params, perms, desc.filter_backend,
+                         phase_filt=phase_filt)
 
 
 #: token -> WorkerLease, most-recently-used last (per worker process).
@@ -484,7 +491,7 @@ def worker_lease(desc: PlanDescriptor) -> WorkerLease:
 
     This is the worker's private per-process plan cache: a hit costs a
     dict lookup; a miss attaches the plan segment, rebuilds the plan, and
-    builds a workspace that adopts the shared gather/taps.  Old leases
+    builds its phase workspace, which adopts the shared gather/taps.  Old leases
     evict LRU at :data:`WORKER_PLAN_CACHE_CAP`, closing their mappings.
     """
     lease = _WORKER_LEASES.get(desc.token)
@@ -507,9 +514,10 @@ def worker_lease(desc: PlanDescriptor) -> WorkerLease:
 
         plan = _materialize_plan(desc, view)
         workspace = PlanWorkspace(
-            plan,
+            plan.phase,
             fft_backend=desc.fft_backend,
             fft_workers=desc.fft_workers,
+            voting_plan=plan,
         )
         workspace.adopt_shared(
             taps_flat=view("taps_flat"),

@@ -1,11 +1,12 @@
 """Per-plan execution workspaces — derive once, transform many times.
 
 A :class:`~repro.core.plan.SfftPlan` holds everything that is *logically*
-reusable across executions (filter, permutation schedule); this module holds
+reusable across executions (filters, permutation schedule); this module holds
 everything that is *physically* reusable: the derived index and tap
 matrices the hot path would otherwise rebuild per call.
 
-For one plan the workspace precomputes
+A workspace executes one route plan — the phase plan or the voting plan
+(:mod:`repro.core.plan`) — and for it precomputes
 
 * the ``(L, w)`` **gather-index matrix** — each row is the permuted signal
   index stream ``(i*sigma_r + tau_r) mod n`` of loop ``r``, the closed-form
@@ -14,25 +15,27 @@ For one plan the workspace precomputes
   and reshaped ``(rounds, B)``, the exact layout Algorithm 2's loop-partition
   kernel reads round by round.
 
-With those in place, :meth:`PlanWorkspace.bin_fused` performs the paper's
-steps 1-2 for *all* ``L`` loops (or the loops from ``first`` on) as one
-``np.take`` gather plus one reshape-sum — no Python-level loop over
-loops.  The pipeline engine's phase-first location
-(:mod:`repro.core.batch`, :mod:`repro.core.phase`) works one loop at a
-time instead: :meth:`PlanWorkspace.window` gathers a loop's samples once,
+:meth:`SfftPlan.workspace` is the phase route's workspace, where every
+call starts.  The phase-first location (:mod:`repro.core.batch`,
+:mod:`repro.core.phase`) works one loop at a time on it:
+:meth:`PlanWorkspace.window` gathers a loop's samples once,
 :meth:`PlanWorkspace.fold` folds them plain, and
 :meth:`PlanWorkspace.fold_shifted` folds the same samples one position on
-only for the signals that need it.
+only for the signals that need it.  :attr:`PlanWorkspace.voting` reaches
+the voting route's workspace with the same FFT binding, built when a
+signal first votes (``self`` when both routes share one plan); there
+:meth:`PlanWorkspace.bin_fused` performs the paper's steps 1-2 for all
+``L`` loops of one signal (or the loops from ``first`` on).
 
 This is the CPU analog of ``cusim``'s
 :class:`~repro.cusim.memory_pool.DeviceMemoryPool`: device codes keep
 per-plan index arrays resident between launches for the same reason.
 
-Workspaces are cached on their plan (see
-:meth:`repro.core.plan.SfftPlan.workspace`) and hold no mutable state on
-the hot path: the derived arrays are written once, and every call
-allocates its own output.  Any number of threads may therefore execute
-one cached plan — including the plan cache's shared plans — concurrently.
+Workspaces are cached on their plan and hold no mutable state on the hot
+path: the derived arrays are written once, and every call allocates its
+own output.  Any number of threads may therefore execute one cached plan —
+including the plan cache's shared plans — concurrently; concurrent first
+votes may each build the voting workspace, with the same bits.
 :meth:`PlanWorkspace.clone` exists to bind a different FFT backend while
 sharing the derived arrays.  :meth:`SfftPlan.reseeded` returns a *new*
 plan object, so a reseeded schedule never sees a stale gather matrix.
@@ -68,17 +71,20 @@ class PlanWorkspace:
     Parameters
     ----------
     plan:
-        The :class:`~repro.core.plan.SfftPlan` to execute.  The workspace
-        snapshots the plan's permutations and filter at construction; it
-        must be rebuilt for a reseeded plan (``plan.reseeded()`` returns a
-        fresh plan whose :meth:`~repro.core.plan.SfftPlan.workspace` does
-        exactly that).
+        The :class:`~repro.core.plan.SfftPlan` to execute, with its own
+        ``B``, filter and permutations.  The workspace snapshots them at
+        construction; it must be rebuilt for a reseeded plan
+        (``plan.reseeded()`` returns a fresh plan whose
+        :meth:`~repro.core.plan.SfftPlan.workspace` does exactly that).
     gather_cap:
         Override for :data:`GATHER_ELEMENT_CAP` (tests exercise the
         fallback path without paying for a huge plan).
     fft_backend:
         Name of the FFT backend :meth:`bucket_fft` resolves (``None`` =
         process default); ``fft_workers`` is its intra-call thread fan-out.
+    voting_plan:
+        The plan whose voting route :attr:`voting` reaches, when it is
+        not ``plan`` (the phase workspace of a plan with two routes).
     """
 
     def __init__(
@@ -88,9 +94,12 @@ class PlanWorkspace:
         gather_cap: int | None = None,
         fft_backend: str | None = None,
         fft_workers: int = 1,
+        voting_plan=None,
     ):
         params = plan.params
         self.plan = plan
+        self.voting_plan = plan if voting_plan is None else voting_plan
+        self._voting: PlanWorkspace | None = None
         self.n = params.n
         self.B = params.B
         self.loops = params.loops
@@ -215,6 +224,7 @@ class PlanWorkspace:
             else fft_backend,
             fft_workers=self.fft_workers if fft_workers is None
             else fft_workers,
+            voting_plan=self.voting_plan,
         )
         twin._gather = self._gather
         twin._taps_flat = self._taps_flat
@@ -257,6 +267,24 @@ class PlanWorkspace:
                 )
             self._gather = gather
             self._materialize_gather = True
+
+    @property
+    def voting(self) -> "PlanWorkspace":
+        """The voting route's workspace with this one's FFT binding:
+        ``self`` when :attr:`voting_plan` is :attr:`plan`, else built on
+        first call (the voting plan's filter and gather matrix with it) and
+        shared by every workspace of the plan."""
+        plan = self.voting_plan
+        if plan is self.plan:
+            return self
+        if self._voting is None:
+            base = plan._voting_workspace
+            if base is None:
+                base = PlanWorkspace(plan, gather_cap=self._gather_cap)
+                object.__setattr__(plan, "_voting_workspace", base)
+            self._voting = base.clone(fft_backend=self.fft_backend,
+                                      fft_workers=self.fft_workers)
+        return self._voting
 
     # -- bucket FFT dispatch -----------------------------------------------
 

@@ -310,14 +310,15 @@ def run_ext_exact(
     *,
     seed: int = 23,
 ) -> ExperimentResult:
-    """Phase-first location vs voting on one plan, through ``sfft``.
+    """Phase-first location vs voting, through ``sfft``.
 
     The engine locates an exactly sparse spectrum by phase decoding on a
-    one-sample-shifted fold (the paper's reference [3]) and votes only
-    when a signal is not exactly sparse.  Each size transforms one exactly
-    sparse signal (phase route) and the same signal with 1e-4 relative
-    noise added (voting route) under one default plan: loops and samples
-    read, wall-clock, and whether each recovers the planted support.
+    one-sample-shifted fold (the paper's reference [3]) on the plan's
+    phase plan, and votes on the plan itself only when a signal is not
+    exactly sparse.  Each size transforms one exactly sparse signal (phase
+    route) and the same signal with 1e-4 relative noise added (voting
+    route) under one default plan: loops and samples read, wall-clock,
+    and whether each recovers the planted support.
     """
     import time as _time
 
@@ -344,7 +345,7 @@ def run_ext_exact(
         t_vote = _time.perf_counter() - t0
         truth = set(sig.locations.tolist())
         vote_samples = plan.filt.width * plan.loops
-        phase_samples = (plan.filt.width + 1) * phase_loops
+        phase_samples = (plan.phase.filt.width + 1) * phase_loops
         rows.append(
             (
                 f"2^{ilog2(n)}",
@@ -359,7 +360,7 @@ def run_ext_exact(
         )
     return ExperimentResult(
         experiment_id="ext-exact",
-        title=f"Phase-first location vs voting, one plan (k={k})",
+        title=f"Phase-first location vs voting (k={k})",
         headers=(
             "n", "voting samples", "phase samples", "sample ratio",
             "voting time", "phase time", "voting exact?", "phase exact?",
@@ -368,7 +369,7 @@ def run_ext_exact(
         notes=(
             "extension (paper ref [3], sFFT 3.0): the engine reads a "
             "singleton's location off the phase of a one-sample-shifted "
-            "fold of the plan's own loops (w + 1 samples per loop) and "
+            "fold of the phase plan's loops (w + 1 samples per loop) and "
             "peels, certifying on the next loop; the voting route runs "
             "all L loops.  Voting samples and time are the same input "
             "with 1e-4 relative noise, which the phase step rejects",

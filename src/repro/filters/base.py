@@ -16,7 +16,8 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +64,6 @@ class FlatFilter:
     lobefrac: float
     tolerance: float
     box_width: int
-    _freq_abs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.time.ndim != 1 or self.freq.ndim != 1:
@@ -76,7 +76,12 @@ class FlatFilter:
             raise FilterDesignError(
                 f"filter support {self.time.size} exceeds signal size {self.n}"
             )
-        object.__setattr__(self, "_freq_abs", np.abs(self.freq))
+
+    @cached_property
+    def _freq_abs(self) -> np.ndarray:
+        """``|freq|``, built on first use: only the filter analysis reads
+        it, and it is a length-``n`` array."""
+        return np.abs(self.freq)
 
     @property
     def width(self) -> int:

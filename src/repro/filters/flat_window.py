@@ -65,6 +65,7 @@ def make_flat_window(
     lobefrac: float | None = None,
     box_halfwidth: int | None = None,
     pad_to_multiple: int | None = None,
+    fft_backend: str | None = None,
 ) -> FlatFilter:
     """Build a :class:`FlatFilter` binning an ``n``-point spectrum into ``B`` buckets.
 
@@ -86,6 +87,9 @@ def make_flat_window(
     pad_to_multiple:
         Zero-pad the taps so their count is a multiple of this (the GPU
         loop-partition kernel wants ``w`` divisible by ``B``).
+    fft_backend:
+        FFT backend the frequency response is computed through (``None``:
+        the process default).
 
     Notes
     -----
@@ -152,7 +156,7 @@ def make_flat_window(
     # array estimation divides by, so it must match `taps` bit-for-bit.
     padded = np.zeros(n, dtype=np.complex128)
     padded[: taps.size] = taps
-    freq = get_backend().fft(padded)
+    freq = get_backend(fft_backend).fft(padded)
     peak = np.abs(freq).max()
     if peak <= 0:
         raise FilterDesignError("flat window has zero frequency response")

@@ -49,6 +49,7 @@ __all__ = [
     "collect_samples",
     "make_baseline",
     "compare_to_baseline",
+    "higher_is_better",
     "prune_runs",
     "validate_baseline",
     "render_verdict",
@@ -85,7 +86,8 @@ class GateConfig:
         fresh > base * (1 + thresholds[class]) + iqr_factor * max(IQRs)
                                                + min_abs[class]
 
-    and an **improvement** under the symmetric lower bound.  ``classes``
+    and an **improvement** under the symmetric lower bound; the two swap
+    for metrics that are better when higher (:func:`higher_is_better`).  ``classes``
     restricts which metric classes are compared at all (CI compares only
     machine-independent classes against a committed baseline).
     """
@@ -200,12 +202,26 @@ def run_key(record: Mapping) -> tuple[str, dict]:
     return key, meta
 
 
+#: Metric-name words whose metrics are better when higher (a recall or
+#: precision that rises is an improvement, not a regression).
+HIGHER_IS_BETTER = ("recall", "precision")
+
+
+def higher_is_better(metric: str) -> bool:
+    """Whether ``metric`` improves when it rises (see
+    :data:`HIGHER_IS_BETTER`); every other gated metric improves when it
+    falls."""
+    lowered = metric.lower()
+    return any(word in lowered for word in HIGHER_IS_BETTER)
+
+
 def extract_metrics(record: Mapping) -> dict[str, tuple[str, float]]:
     """``{metric name: (class, value)}`` comparable metrics of one record.
 
-    Only metrics with an unambiguous "higher is worse" direction are
-    extracted (times, error); count-like ``sfft.*`` gauges are reported
-    elsewhere but not gated on.
+    Only metrics with an unambiguous direction are extracted (times,
+    error, and table rows, whose recall/precision columns are better when
+    higher); count-like ``sfft.*`` gauges are reported elsewhere but not
+    gated on.
     """
     out: dict[str, tuple[str, float]] = {}
 
@@ -471,12 +487,11 @@ def compare_to_baseline(
             threshold = float(config.thresholds.get(klass, 0.0))
             upper = base_median * (1.0 + threshold) + band
             lower = base_median * (1.0 - threshold) - band
-            if fresh_median > upper:
-                status = "regression"
-            elif fresh_median < lower:
-                status = "improvement"
-            else:
-                status = "ok"
+            worse, better = fresh_median > upper, fresh_median < lower
+            if higher_is_better(mname):
+                worse, better = better, worse
+            status = ("regression" if worse
+                      else "improvement" if better else "ok")
             checks.append(MetricCheck(
                 key, mname, klass, status,
                 base_median=base_median, fresh_median=fresh_median, band=band,

@@ -207,3 +207,21 @@ class TestStartMethodDeterminism:
                 start_method=start_method,
             )
             _assert_identical(ex.run(stack, plan, **kwargs), serial)
+
+
+class TestTwoPlans:
+    def test_workers_vote_on_the_voting_plan(self):
+        # Workers share the phase plan's arrays and build the voting
+        # plan's filter themselves when a signal votes: exact and 20 dB
+        # rows must return the fused bits.
+        from repro.core import make_plan
+        from repro.signals import add_awgn
+
+        n, k = 1 << 18, 16
+        plan = make_plan(n, k, seed=5)
+        assert plan.phase.B < plan.B
+        X = np.stack([make_sparse_signal(n, k, seed=s).time
+                      for s in range(4)])
+        X[1] = add_awgn(X[1], 20.0, seed=1)[0]
+        ex = ShardedExecutor(workers=2, shard_size=2, mode="process")
+        _assert_identical(ex.run(X, plan), sfft_batch(X, plan=plan))

@@ -1,26 +1,33 @@
 """Phase-first location in the engine: its fallback, its stack-invariance.
 
 A signal the phase step does not certify runs the voting stages on the
-rows it would have folded itself, so its output must equal, bit for bit,
-cutoff + voting + median estimation run directly on ``bin_fused`` rows;
-and a stack mixing both routes must give the same bits serially, batched
-and sharded.
+voting plan, so its output must equal, bit for bit, cutoff + voting +
+median estimation run directly on that plan's ``bin_fused`` rows; and a
+stack mixing both routes must give the same bits serially, batched and
+sharded.  A plan whose phase plan has fewer buckets locates exactly sparse
+input on it without ever building the voting plan's filter.
 """
+
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core import (
     ShardedExecutor,
+    batch,
     cutoff_rows,
     estimate_values,
+    load_plan,
     make_plan,
     recover_locations,
+    save_plan,
     sfft,
     sfft_batch,
 )
 from repro.core.batch import SparseFFTResult
-from repro.core.phase import SLACK
+from repro.core.phase import SLACK, PhaseStack
+from repro.core.plan_cache import PlanCache
 from repro.obs import MetricsRegistry, Tracer
 from repro.signals import add_awgn, make_sparse_signal
 
@@ -32,9 +39,9 @@ def _relative_noise(x, level, seed):
 
 
 def _voting_reference(x, plan):
-    """Steps 3-6 by hand on ``bin_fused`` rows: the parent engine's bits."""
+    """Steps 3-6 by hand on the voting plan's ``bin_fused`` rows."""
     params = plan.params
-    ws = plan.workspace()
+    ws = plan.workspace().voting
     rows = ws.bucket_fft(ws.bin_fused(x))
     v = params.voting_loops
     selected = cutoff_rows(np.abs(rows[:v]), params.select_count)
@@ -217,3 +224,156 @@ def test_failed_certificate_folds_shifted_and_decodes_on(seed):
         assert set(res.locations.tolist()) < set(sig.locations.tolist())
     else:
         assert res.locations.tolist() == want
+
+
+#: A shape with two plans: voting B = 1024, phase B = 512.
+_TWO_PLANS = (1 << 18, 16)
+
+
+def _stack(n, k, S, snr_db=None, seed=0):
+    X = np.stack([make_sparse_signal(n, k, seed=seed + s).time
+                  for s in range(S)])
+    if snr_db is not None:
+        X = np.stack([add_awgn(x, snr_db, seed=seed + 50 + s)[0]
+                      for s, x in enumerate(X)])
+    return X
+
+
+def _counts(registry):
+    return {name: registry.counter(f"sfft.location.{name}").value
+            for name in ("phase", "vote")}
+
+
+@pytest.mark.parametrize("n,k,B_phase", [
+    (1 << 14, 16, 512),     # stream-14: one plan
+    (1 << 20, 64, 1024),    # batch-20
+    (1 << 18, 64, 1024),    # sharded-18
+    (1 << 16, 256, 2048),   # noisy-k256: one plan
+])
+def test_phase_plan_buckets(n, k, B_phase):
+    plan = make_plan(n, k, seed=1234)
+    assert plan.phase.B == B_phase
+    assert (plan.phase is plan) == (plan.B == B_phase)
+    phase = plan.phase.params
+    assert phase.lobefrac * phase.B == pytest.approx(
+        plan.params.lobefrac * plan.B)
+    assert phase.tolerance == plan.params.tolerance
+    assert plan.phase.permutations is plan.permutations
+
+
+def test_exact_stack_never_builds_the_voting_filter():
+    n, k = _TWO_PLANS
+    plan = make_plan(n, k, seed=7)
+    assert (plan.B, plan.phase.B) == (1024, 512)
+    X = _stack(n, k, 4, seed=10)
+    registry = MetricsRegistry()
+    out = sfft_batch(X, plan=plan, metrics=registry)
+    assert _counts(registry) == {"phase": 4, "vote": 0}
+    assert plan._filt is None and plan._voting_workspace is None
+    for s, res in enumerate(out):
+        sig = make_sparse_signal(n, k, seed=10 + s)
+        np.testing.assert_array_equal(res.locations, np.sort(sig.locations))
+        want = dict(zip(sig.locations.tolist(), sig.values))
+        for f, v in zip(res.locations.tolist(), res.values):
+            assert abs(v - want[f]) <= 1e-9 * abs(want[f])
+
+
+def test_noisy_stack_votes_on_the_voting_plan():
+    n, k = _TWO_PLANS
+    plan = make_plan(n, k, seed=7)
+    X = _stack(n, k, 3, snr_db=20.0, seed=20)
+    registry = MetricsRegistry()
+    out = sfft_batch(X, plan=plan, metrics=registry)
+    assert _counts(registry) == {"phase": 0, "vote": 3}
+    assert plan.workspace().voting.B == plan.B == 1024
+    for x, res in zip(X, out):
+        _same_bits(res, _voting_reference(x, plan))
+
+
+def test_multi_loop_values_are_no_worse_than_one_loop(monkeypatch):
+    # On a phase plan smaller than the voting plan the solve takes one
+    # more step over every consumed loop after the decode-loop Jacobi.
+    n, k = _TWO_PLANS
+    plan = make_plan(n, k, seed=7)
+    sigs = [make_sparse_signal(n, k, seed=30 + s) for s in range(16)]
+    X = np.stack([sig.time for sig in sigs])
+
+    def l1(out):
+        return np.median([
+            np.abs(res.to_dense()[sig.locations] - sig.values).mean()
+            for res, sig in zip(out, sigs)])
+
+    multi = l1(sfft_batch(X, plan=plan))
+    class OneLoop(PhaseStack):
+        def __init__(self, plan, S, *, refine):
+            super().__init__(plan, S, refine=False)
+
+    monkeypatch.setattr(batch, "PhaseStack", OneLoop)
+    single = l1(sfft_batch(X, plan=plan))
+    assert multi <= single
+
+
+def test_concurrent_first_votes_share_bits():
+    n, k = _TWO_PLANS
+    X = _stack(n, k, 2, snr_db=20.0, seed=40)
+    want = sfft_batch(X, plan=make_plan(n, k, seed=8))
+    cache = PlanCache()
+    plan = cache.get_or_make(n, k, seed=8)
+    assert plan._filt is None
+    barrier = threading.Barrier(2)
+    got = [None, None]
+
+    def run(i):
+        barrier.wait()
+        got[i] = sfft_batch(X, plan=plan)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for out in got:
+        for a, b in zip(out, want):
+            _same_bits(a, b)
+
+
+def test_saved_plan_round_trips_both_routes(tmp_path):
+    n, k = _TWO_PLANS
+    plan = make_plan(n, k, seed=9)
+    exact, noisy = _stack(n, k, 2, seed=60), _stack(n, k, 2, 20.0, seed=60)
+    path = tmp_path / "plan.npz"
+    save_plan(plan, path)
+    loaded = load_plan(path)
+    assert loaded.params == plan.params
+    assert loaded.phase.params == plan.phase.params
+    np.testing.assert_array_equal(loaded.phase.filt.freq,
+                                  plan.phase.filt.freq)
+    np.testing.assert_array_equal(loaded.filt.freq, plan.filt.freq)
+    for X in (exact, noisy):
+        for a, b in zip(sfft_batch(X, plan=loaded), sfft_batch(X, plan=plan)):
+            _same_bits(a, b)
+
+
+def test_schema_1_plan_file_still_loads(tmp_path):
+    # Schema 1 held the voting filter only; the phase filter is
+    # synthesized on load.
+    n, k = _TWO_PLANS
+    plan = make_plan(n, k, seed=9)
+    p = plan.params
+    path = tmp_path / "plan1.npz"
+    np.savez_compressed(
+        path, schema=np.array([1]), n=p.n, k=p.k, B=p.B, loops=p.loops,
+        vote_threshold=p.vote_threshold, select_count=p.select_count,
+        window=np.array(p.window), tolerance=p.tolerance,
+        lobefrac=p.lobefrac, loc_loops=np.array([-1]),
+        filter_time=plan.filt.time, filter_freq=plan.filt.freq,
+        filter_box_width=plan.filt.box_width,
+        sigmas=np.array([q.sigma for q in plan.permutations]),
+        taus=np.array([q.tau for q in plan.permutations]),
+    )
+    loaded = load_plan(path)
+    assert loaded.phase.B == plan.phase.B
+    X = np.concatenate([_stack(n, k, 1, seed=70),
+                        _stack(n, k, 1, 20.0, seed=70)])
+    for a, b in zip(sfft_batch(X, plan=loaded), sfft_batch(X, plan=plan)):
+        _same_bits(a, b)

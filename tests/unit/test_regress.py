@@ -251,6 +251,24 @@ class TestGate:
                    c.metric == "cusim.timeline.makespan_s"
                    for c in verdict.checks)
 
+    @staticmethod
+    def _recall_record(recall):
+        return make_run_record(
+            "fig5f", params={"n": 1 << 18, "k": 1000},
+            headers=["k", "recall"], rows=[["1000", f"{recall:.4g}"]],
+        )
+
+    def test_recall_row_is_better_when_higher(self):
+        # fig5f's recall row rose 0.9385 -> 1 under a new default filter:
+        # an improvement.  A fall past the modeled threshold regresses.
+        base = make_baseline([self._recall_record(0.9385)])
+        rose = compare_to_baseline(base, [self._recall_record(1.0)])
+        fell = compare_to_baseline(base, [self._recall_record(0.85)])
+        assert rose.status == "ok"
+        assert [c.status for c in rose.checks] == ["improvement"]
+        assert fell.status == "regression"
+        assert [c.metric for c in fell.regressions()] == ["row.1000.recall"]
+
     def _mem_record(self, nbytes):
         reg = MetricsRegistry()
         reg.gauge("sfft.plan_cache.bytes").set(float(nbytes))
